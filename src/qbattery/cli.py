@@ -175,10 +175,10 @@ def _series_rows(series, overlay=None):
     return fieldnames, rows
 
 
-def write_series_csv(path, cfg, times=None, points=600, overlay_tlm=None):
-    """Simulate one config and write its time series (optionally with
+def write_series_csv(path, sim, times=None, points=600, overlay_tlm=None):
+    """Write the time series of one built simulation (optionally with
     two-level-model overlay columns, available for the ideal battery)."""
-    sim = QuenchSimulation(cfg)
+    cfg = sim.config
     if times is None:
         times = sim.default_times(points=points)
     series = sim.series(times)
@@ -214,12 +214,12 @@ def cmd_simulate(args):
             raise ConfigError("simulate.horizon must be positive")
         times = np.linspace(0.0, horizon, points)
     csv_path = outdir / f"{prefix}.csv"
-    write_series_csv(csv_path, cfg, times=times, points=points)
+    sim = QuenchSimulation(cfg)
+    write_series_csv(csv_path, sim, times=times, points=points)
     emit_plot_script(csv_path, "series")
     _run_manifest(outdir / f"{prefix}.manifest.json", "simulate", cfg,
                   extra={"points": points,
                          "horizon": horizon if horizon else "auto"})
-    sim = QuenchSimulation(cfg)
     try:
         s = sim.summarize()
         print(f"t_max={s.t_max:.6f}  W_B={s.stored_work:.6f}  "
@@ -335,7 +335,7 @@ def cmd_tlm(args):
 
 def _preset_series(outdir, name, cfg, workers):
     path = outdir / f"{name}.csv"
-    write_series_csv(path, cfg)
+    write_series_csv(path, QuenchSimulation(cfg))
     emit_plot_script(path, "series")
     return [path]
 

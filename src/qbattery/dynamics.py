@@ -6,6 +6,21 @@ reconstructed at arbitrary times from
     |psi(t)> = sum_k <E_k|psi(0)> exp(-i E_k t) |E_k>,
 
 so there is no time-step error to control.
+
+Read-out works on a block of times at once. H1 and psi(0) are real, so
+the eigenvectors V and the coefficients c0 = V^T psi(0) are real, and the
+block psi = re + i im of D sector states by T times costs two real GEMMs,
+
+    re = V (cos(E t) c0),    im = -V (sin(E t) c0),
+
+O(D^2 T). Expectations of H0, Hint and the work operator are CSR (or,
+when diagonal, elementwise) products against the block,
+re.A.re + im.A.im, O(nnz T). The reduced battery state needs only its
+spectrum, and the nonzero part of that comes from the Gram matrix of the
+smaller side of the battery x charger amplitude matrix:
+min(D_B, D_C)^3 per time instead of D_B^3. Battery-eigenbasis
+populations are one D_B^2 D_C product per time. Long time grids run in
+chunks of _BLOCK_COLUMNS, so no (D x T) block larger than that is held.
 """
 
 from __future__ import annotations
@@ -15,16 +30,21 @@ import warnings
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
+from scipy import sparse
 
 from . import thermo
 from .basis import (ParitySector, Species, SpeciesConfig,
                     build_composite_basis, DEFAULT_BASIS_CAP)
-from .errors import ConfigError, CutoffWarning
-from .hamiltonian import (assemble_battery_only, build_hamiltonian_set,
-                          _get_structure)
+from .errors import ConfigError, CutoffWarning, NumericalBreakdownError
+from .hamiltonian import assemble_battery_only, build_hamiltonian_set
 
 SERIES_SCHEMA = "qbattery.series.v1"
 SERIES_COLUMNS = ("t", "W_B", "ergotropy", "S_B", "E_int", "W_irr", "E_total")
+
+_BLOCK_COLUMNS = 256     # times per read-out block
+_IMAG_TOL = 1e-10        # imaginary residue of a real-operator expectation
+_NORM_TOL = 1e-10        # | |psi(t)| - 1 | per column
+_ENERGY_RTOL = 1e-8      # E_total drift, relative to max(1, |E_total(0)|)
 
 
 @dataclass
@@ -77,20 +97,36 @@ def initial_state(basis, battery_h, charger_level=1):
     return QuantumState(amplitudes=amplitudes.astype(complex), time=0.0)
 
 
-def evolve(state0, spectral, t):
-    """Propagate a t=0 state to time t through the eigenbasis."""
-    coeffs = spectral.vectors.conj().T @ state0.amplitudes
-    phases = np.exp(-1j * spectral.energies * t)
-    return QuantumState(amplitudes=spectral.vectors @ (phases * coeffs), time=t)
-
-
 def expectation(operator, state):
     """Real expectation value, asserting the imaginary residue is noise."""
     v = state.amplitudes
     val = complex(np.vdot(v, operator @ v))
-    if abs(val.imag) > 1e-10:
+    if abs(val.imag) > _IMAG_TOL:
         raise AssertionError(f"expectation has imaginary residue {val.imag:.3e}")
     return val.real
+
+
+def _expect(op, re, im):
+    """<psi|op|psi> for each column of psi = re + i im.
+
+    ``op`` is real symmetric: a sparse matrix, or a 1-D array holding its
+    diagonal. The imaginary part re.op.im - im.op.re is zero in exact
+    arithmetic and must stay below _IMAG_TOL.
+    """
+    if op.ndim == 1:
+        return op @ (re * re + im * im)
+    op_re, op_im = op @ re, op @ im
+    residue = (np.einsum("it,it->t", re, op_im)
+               - np.einsum("it,it->t", im, op_re))
+    worst = float(np.abs(residue).max(initial=0.0))
+    if worst > _IMAG_TOL:
+        raise AssertionError(f"expectation has imaginary residue {worst:.3e}")
+    return np.einsum("it,it->t", re, op_re) + np.einsum("it,it->t", im, op_im)
+
+
+def _chunks(n):
+    """Slices of at most _BLOCK_COLUMNS covering range(n)."""
+    return [slice(k, k + _BLOCK_COLUMNS) for k in range(0, n, _BLOCK_COLUMNS)]
 
 
 @dataclass
@@ -189,26 +225,39 @@ class QuenchSimulation:
         self.spectral = SpectralDecomposition.from_matrix(hams.h1)
         self.state0 = initial_state(self.basis, self.battery_h,
                                     charger_level=config.charger_level)
-        self._coeff0 = self.spectral.vectors.conj().T @ self.state0.amplitudes
-        self._h0_initial = float(np.real(
-            np.vdot(self.state0.amplitudes, self.h0 @ self.state0.amplitudes)))
+        # H1 and psi(0) are real, so V and c0 are too
+        psi0 = self.state0.amplitudes.real[:, None]
+        self._coeff0 = self.spectral.vectors.T @ psi0[:, 0]
+        self._h0_csr = sparse.csr_matrix(self.h0)
+        self._hint_csr = sparse.csr_matrix(self.hint)
+        zero = np.zeros_like(psi0)
+        self._h0_initial = float(_expect(self._h0_csr, psi0, zero)[0])
+        self._energy0 = self._h0_initial + float(
+            _expect(self._hint_csr, psi0, zero)[0])
+        self._work_op = self._work_operator()
 
-        # Battery energy read-out in the sector: diagonal whenever g_B = 0.
-        nb, mb = config.num_particles, config.modes_battery
-        _, _, bat_diag = _get_structure(nb, mb)
-        if config.g_B == 0.0:
-            self._work_diag = (config.omega_B * bat_diag[self.basis.battery_index]
-                               - self.battery_h.ground_energy)
-            self._work_matrix = None
-        else:
-            self._work_diag = None
-            embedded = np.zeros((self.basis.size, self.basis.size))
-            for c in range(self.basis.charger_dim):
-                keep = self.basis.index_matrix[:, c]
-                live = np.nonzero(keep >= 0)[0]
-                embedded[np.ix_(keep[live], keep[live])] = \
-                    self.battery_h.matrix[np.ix_(live, live)]
-            self._work_matrix = embedded
+    def _work_operator(self):
+        """Battery energy above its ground state, embedded in the sector.
+
+        Diagonal whenever g_B = 0; otherwise one block per charger mode,
+        held as CSR.
+        """
+        bat, basis = self.battery_h, self.basis
+        shifted = bat.matrix - bat.ground_energy * np.eye(bat.dim)
+        if self.config.g_B == 0.0:
+            return np.diag(shifted)[basis.battery_index]
+        rows, cols, vals = [], [], []
+        for c in range(basis.charger_dim):
+            keep = basis.index_matrix[:, c]
+            live = np.nonzero(keep >= 0)[0]
+            block = shifted[np.ix_(live, live)]
+            r, q = np.nonzero(block)
+            rows.append(keep[live[r]])
+            cols.append(keep[live[q]])
+            vals.append(block[r, q])
+        return sparse.csr_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(basis.size, basis.size))
 
     @property
     def charger_quantum(self):
@@ -216,33 +265,40 @@ class QuenchSimulation:
         level = self.config.charger_level
         return level * self.config.omega_C
 
+    def _block(self, times):
+        """psi(t) = re + i im, one real column pair per time."""
+        phase = np.outer(self.spectral.energies, times)
+        c0 = self._coeff0[:, None]
+        vectors = self.spectral.vectors
+        re = vectors @ (np.cos(phase) * c0)
+        im = vectors @ (np.sin(phase) * -c0)
+        norm = np.einsum("it,it->t", re, re) + np.einsum("it,it->t", im, im)
+        drift = float(np.abs(norm - 1.0).max(initial=0.0))
+        if drift > _NORM_TOL:
+            raise NumericalBreakdownError(
+                f"state norm drifted by {drift:.3e} during propagation")
+        return re, im
+
     def state_at(self, t):
-        phases = np.exp(-1j * self.spectral.energies * t)
-        return QuantumState(
-            amplitudes=self.spectral.vectors @ (phases * self._coeff0), time=t)
+        re, im = self._block([t])
+        return QuantumState(amplitudes=re[:, 0] + 1j * im[:, 0], time=t)
 
     def states_at(self, times):
         """Batched reconstruction, one column per time."""
-        times = np.asarray(times, dtype=float)
-        phases = np.exp(-1j * np.outer(self.spectral.energies, times))
-        return self.spectral.vectors @ (phases * self._coeff0[:, None])
+        re, im = self._block(np.asarray(times, dtype=float))
+        return re + 1j * im
 
     def work_of_state(self, amplitudes):
-        dens = np.abs(amplitudes) ** 2
-        if self._work_diag is not None:
-            return float(self._work_diag @ dens)
-        val = np.real(np.vdot(amplitudes, self._work_matrix @ amplitudes))
-        return float(val - self.battery_h.ground_energy)
+        a = np.asarray(amplitudes)[:, None]
+        return float(_expect(self._work_op, a.real, a.imag)[0])
 
     def work_series(self, times):
         """Stored work W_B on a time grid (vectorized)."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        cols = self.states_at(times)
-        if self._work_diag is not None:
-            return self._work_diag @ (np.abs(cols) ** 2)
-        vals = np.einsum("ij,ik,kj->j", cols.conj(), self._work_matrix, cols,
-                         optimize=True).real
-        return vals - self.battery_h.ground_energy
+        out = np.empty(times.size)
+        for part in _chunks(times.size):
+            out[part] = _expect(self._work_op, *self._block(times[part]))
+        return out
 
     def work_at(self, t):
         return self.work_of_state(self.state_at(t).amplitudes)
@@ -254,38 +310,52 @@ class QuenchSimulation:
         var = float((self.spectral.energies - mean) ** 2 @ w)
         return thermo.variance_to_qsl(var)
 
+    def _scatter(self, cols):
+        """(D, T) sector columns as T battery x charger matrices."""
+        basis = self.basis
+        x = np.zeros((cols.shape[1], basis.battery_dim, basis.charger_dim))
+        x[:, basis.battery_index, basis.charger_index] = cols.T
+        return x
+
+    def _readout(self, times):
+        """Every SERIES_COLUMNS observable but t, block by block.
+
+        Raises NumericalBreakdownError when a state's norm or E_total
+        drifts from its initial value.
+        """
+        out = {name: np.empty(times.size) for name in SERIES_COLUMNS[1:]}
+        bat = self.battery_h
+        vbt = bat.eigenvectors.T
+        tol = _ENERGY_RTOL * max(1.0, abs(self._energy0))
+        for part in _chunks(times.size):
+            re, im = self._block(times[part])
+            h0_now = _expect(self._h0_csr, re, im)
+            e_int = _expect(self._hint_csr, re, im)
+            e_total = h0_now + e_int
+            drift = float(np.abs(e_total - self._energy0).max())
+            if drift > tol:
+                raise NumericalBreakdownError(
+                    f"total energy drifted by {drift:.3e} during propagation")
+            x_re, x_im = self._scatter(re), self._scatter(im)
+            # populations p_i = sum_c |(V_B^T X)_ic|^2 in the battery eigenbasis
+            pops = ((vbt @ x_re) ** 2 + (vbt @ x_im) ** 2).sum(axis=2)
+            spectra = thermo.battery_spectra(x_re, x_im)
+            out["W_B"][part] = _expect(self._work_op, re, im)
+            out["ergotropy"][part] = (pops - spectra) @ bat.eigenvalues
+            out["S_B"][part] = [thermo.von_neumann_entropy(lam)
+                                for lam in spectra]
+            out["E_int"][part] = e_int
+            out["W_irr"][part] = h0_now - self._h0_initial
+            out["E_total"][part] = e_total
+        return out
+
     def observables_at(self, t):
-        state = self.state_at(t)
-        rho = thermo.partial_trace_charger(state, self.basis)
-        e_int = expectation(self.hint, state)
-        h0_now = expectation(self.h0, state)
-        return {
-            "t": t,
-            "W_B": self.work_of_state(state.amplitudes),
-            "ergotropy": thermo.ergotropy(rho, self.battery_h),
-            "S_B": thermo.von_neumann_entropy(rho.eigenvalues),
-            "E_int": e_int,
-            "W_irr": h0_now - self._h0_initial,
-            "E_total": h0_now + e_int,
-        }
+        row = self._readout(np.array([float(t)]))
+        return {"t": t, **{name: float(col[0]) for name, col in row.items()}}
 
     def series(self, times):
         times = np.asarray(times, dtype=float)
-        cols = self.states_at(times)
-        n = times.size
-        out = {k: np.empty(n) for k in
-               ("W_B", "ergotropy", "S_B", "E_int", "W_irr", "E_total")}
-        for idx in range(n):
-            state = QuantumState(amplitudes=cols[:, idx], time=times[idx])
-            rho = thermo.partial_trace_charger(state, self.basis)
-            e_int = expectation(self.hint, state)
-            h0_now = expectation(self.h0, state)
-            out["W_B"][idx] = self.work_of_state(state.amplitudes)
-            out["ergotropy"][idx] = thermo.ergotropy(rho, self.battery_h)
-            out["S_B"][idx] = thermo.von_neumann_entropy(rho.eigenvalues)
-            out["E_int"][idx] = e_int
-            out["W_irr"][idx] = h0_now - self._h0_initial
-            out["E_total"][idx] = h0_now + e_int
+        out = self._readout(times)
         return ObservableSeries(
             times=times, stored_work=out["W_B"], ergotropy=out["ergotropy"],
             entropy=out["S_B"], interaction_energy=out["E_int"],

@@ -76,6 +76,24 @@ def partial_trace_charger(state, basis):
         np.linalg.eigvalsh(rho)))
 
 
+def battery_spectra(x_re, x_im):
+    """Clipped spectra of rho_B = X X^dagger, descending, one row per time.
+
+    X = x_re + i x_im is a (T, D_B, D_C) stack of battery x charger
+    amplitude matrices. The nonzero eigenvalues of X X^dagger are those of
+    X^dagger X, so the eigensolve runs on the smaller Gram matrix and the
+    remaining D_B - D_C eigenvalues are zero.
+    """
+    t_re, t_im = x_re.transpose(0, 2, 1), x_im.transpose(0, 2, 1)
+    if x_re.shape[2] <= x_re.shape[1]:
+        gram = (t_re @ x_re + t_im @ x_im) + 1j * (t_re @ x_im - t_im @ x_re)
+    else:
+        gram = (x_re @ t_re + x_im @ t_im) + 1j * (x_im @ t_re - x_re @ t_im)
+    raw = np.zeros(x_re.shape[:2])
+    raw[:, :gram.shape[1]] = np.linalg.eigvalsh(gram)
+    return np.array([_clip_spectrum(row) for row in raw])
+
+
 def reduced_charger_matrix(state, basis):
     """Charger reduced density matrix (modes_charger square)."""
     x = np.zeros((basis.battery_dim, basis.charger_dim), dtype=complex)

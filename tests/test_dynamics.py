@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from qbattery import dynamics, thermo
 from qbattery.basis import ParitySector
 from qbattery.dynamics import (QuenchSimulation, SimulationConfig,
                                time_series)
-from qbattery.errors import ConfigError, CutoffWarning
+from qbattery.errors import ConfigError, CutoffWarning, NumericalBreakdownError
 from qbattery.tlm import resonance_solve, tlm_params, wb_tlm
 
 
@@ -177,3 +178,69 @@ def test_config_validation_and_cutoff_warning():
 def test_qsl_estimate_positive():
     sim = QuenchSimulation(small_config(omega_C=1.02))
     assert sim.qsl_estimate() > 0.0
+
+
+def reference_row(sim, t):
+    """One series row from the complex eigen-expansion and the dense
+    matrices, one time at a time."""
+    vectors = sim.spectral.vectors.astype(complex)
+    coeff0 = vectors.conj().T @ sim.state0.amplitudes
+    psi = vectors @ (np.exp(-1j * sim.spectral.energies * t) * coeff0)
+    psi0 = sim.state0.amplitudes
+    rho = thermo.partial_trace_charger(dynamics.QuantumState(psi, t),
+                                       sim.basis)
+    h0_now = np.vdot(psi, sim.h0 @ psi).real
+    e_int = np.vdot(psi, sim.hint @ psi).real
+    return [thermo.stored_work(rho, sim.battery_h),
+            thermo.ergotropy(rho, sim.battery_h),
+            thermo.von_neumann_entropy(rho.eigenvalues),
+            e_int,
+            h0_now - np.vdot(psi0, sim.h0 @ psi0).real,
+            h0_now + e_int]
+
+
+# N_B = 1 has D_B = D_C = 6; N_B = 2 and 3 have D_B = 21 and 56 > D_C
+@pytest.mark.parametrize("num_particles, g_B", [
+    (1, 0.0), (1, 0.6), (2, 0.0), (2, -0.4), (3, 0.5)])
+def test_series_matches_per_time_reference(num_particles, g_B, monkeypatch):
+    # small blocks, so the 11 times run as four chunks
+    monkeypatch.setattr(dynamics, "_BLOCK_COLUMNS", 3)
+    sim = QuenchSimulation(small_config(num_particles=num_particles,
+                                        g_B=g_B, omega_C=1.04))
+    times = np.linspace(0.0, 40.0, 11)
+    series = sim.series(times)
+    got = np.column_stack([series.stored_work, series.ergotropy,
+                           series.entropy, series.interaction_energy,
+                           series.irreversible_work, series.total_energy])
+    want = np.array([reference_row(sim, t) for t in times])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+    assert np.ptp(series.stored_work) > 1e-3
+
+    one = sim.series([times[4]])
+    obs = sim.observables_at(times[4])
+    for name, column in zip(dynamics.SERIES_COLUMNS,
+                            (one.times, one.stored_work, one.ergotropy,
+                             one.entropy, one.interaction_energy,
+                             one.irreversible_work, one.total_energy)):
+        assert obs[name] == column[0]
+    np.testing.assert_allclose(sim.work_series(times), series.stored_work,
+                               rtol=0, atol=1e-12)
+
+
+def test_norm_drift_raises():
+    sim = QuenchSimulation(small_config(num_particles=2, g_B=0.4))
+    sim.spectral.vectors *= 1.001
+    for read in (sim.series, sim.work_series):
+        with pytest.raises(NumericalBreakdownError, match="norm"):
+            read(np.linspace(0.0, 5.0, 3))
+
+
+def test_energy_drift_raises():
+    # swapping the most populated eigenvector with the top one keeps the
+    # columns orthonormal but moves the energy of the evolved state
+    sim = QuenchSimulation(small_config(num_particles=2, g_B=0.4))
+    k = int(np.argmax(np.abs(sim.spectral.vectors.T
+                             @ sim.state0.amplitudes.real)))
+    sim.spectral.vectors[:, [-1, k]] = sim.spectral.vectors[:, [k, -1]]
+    with pytest.raises(NumericalBreakdownError, match="total energy"):
+        sim.series(np.linspace(0.0, 5.0, 3))
