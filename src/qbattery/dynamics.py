@@ -36,7 +36,8 @@ from . import thermo
 from .basis import (ParitySector, Species, SpeciesConfig,
                     build_composite_basis, DEFAULT_BASIS_CAP)
 from .errors import ConfigError, CutoffWarning, NumericalBreakdownError
-from .hamiltonian import assemble_battery_only, build_hamiltonian_set
+from .hamiltonian import (assemble_battery_only, build_hamiltonian_set,
+                          embed_battery_operator)
 
 SERIES_SCHEMA = "qbattery.series.v1"
 SERIES_COLUMNS = ("t", "W_B", "ergotropy", "S_B", "E_int", "W_irr", "E_total")
@@ -239,25 +240,13 @@ class QuenchSimulation:
     def _work_operator(self):
         """Battery energy above its ground state, embedded in the sector.
 
-        Diagonal whenever g_B = 0; otherwise one block per charger mode,
-        held as CSR.
+        Diagonal whenever g_B = 0; otherwise held as CSR.
         """
         bat, basis = self.battery_h, self.basis
         shifted = bat.matrix - bat.ground_energy * np.eye(bat.dim)
         if self.config.g_B == 0.0:
             return np.diag(shifted)[basis.battery_index]
-        rows, cols, vals = [], [], []
-        for c in range(basis.charger_dim):
-            keep = basis.index_matrix[:, c]
-            live = np.nonzero(keep >= 0)[0]
-            block = shifted[np.ix_(live, live)]
-            r, q = np.nonzero(block)
-            rows.append(keep[live[r]])
-            cols.append(keep[live[q]])
-            vals.append(block[r, q])
-        return sparse.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(basis.size, basis.size))
+        return embed_battery_operator(basis, shifted)
 
     @property
     def charger_quantum(self):

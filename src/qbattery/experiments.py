@@ -11,6 +11,7 @@ files.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -411,86 +412,66 @@ def wirr_scan(scan: ScanConfig):
     return rows
 
 
-def _dense_peak(cfg, tune, span):
-    """(W_B at first maximum, omega used, t_max) via the dense pipeline,
-    optionally re-centering omega_C on the local peak of W(omega) with a
-    three-point parabola."""
-
-    def peak(omega):
-        sim = QuenchSimulation(dataclasses.replace(cfg, omega_C=float(omega)))
-        s = sim.summarize()
-        return s.stored_work, s.t_max
-
-    w0, t0 = peak(cfg.omega_C)
+def _tune_peak(peak, omega, tune, span):
+    """(W_B at first maximum, omega used, t_max) from a per-omega
+    ``peak(omega) -> (W, t)``, optionally re-centering omega_C on the local
+    peak of W(omega) with a three-point parabola."""
+    w0, t0 = peak(omega)
     if not tune:
-        return w0, cfg.omega_C, t0
+        return w0, omega, t0
     offsets = np.array([-span, 0.0, span])
-    values = np.array([peak(cfg.omega_C + o)[0] if o else w0 for o in offsets])
+    runs = [peak(omega + o) if o else (w0, t0) for o in offsets]
+    values = np.array([w for w, _ in runs])
     coeffs = np.polyfit(offsets, values, 2)
     if coeffs[0] < 0:
         vertex = float(np.clip(-coeffs[1] / (2 * coeffs[0]), -2 * span,
                                2 * span))
     else:
         vertex = float(offsets[np.argmax(values)])
-    wv, tv = peak(cfg.omega_C + vertex)
-    best = int(np.argmax([values[0], values[1], values[2], wv]))
-    if best == 3 or wv >= values.max():
-        return wv, cfg.omega_C + vertex, tv
-    omega = cfg.omega_C + offsets[best]
-    w, t = peak(omega)
-    return w, float(omega), t
+    wv, tv = peak(omega + vertex)
+    if wv >= values.max():
+        return wv, omega + vertex, tv
+    best = int(np.argmax(values))
+    w, t = runs[best]
+    return w, float(omega + offsets[best]), t
 
 
-def _krylov_peak(cfg, t_guide, tune, span):
-    """Same as _dense_peak on the matrix-free pipeline (g_B = 0 only), with
-    t_max refined by a parabola through three points around t_guide."""
+def _dense_peak(cfg, omega):
+    """(W_B, t_max) at the first stored-work maximum, dense pipeline."""
+    sim = QuenchSimulation(dataclasses.replace(cfg, omega_C=float(omega)))
+    s = sim.summarize()
+    return s.stored_work, s.t_max
+
+
+def _krylov_peak(cfg, t_guide, omega):
+    """(W_B, t_max) on the matrix-free pipeline (g_B = 0 only), with t_max
+    refined by a parabola through three points around t_guide."""
     if cfg.g_B != 0:
         raise ConfigError("matrix-free path requires an ideal battery")
-
-    def peak(omega):
-        op = ProductSpaceOperator(
-            num_particles=cfg.num_particles, modes_battery=cfg.modes_battery,
-            modes_charger=cfg.modes_charger, g_BC=cfg.g_BC,
-            omega_B=cfg.omega_B, omega_C=float(omega))
-        bounds = spectral_bounds(op)
-        psi = op.initial_state(cfg.charger_level)
-        ts = t_guide * np.array([0.96, 1.0, 1.04])
-        works = []
-        current = 0.0
-        for t in ts:
-            psi = chebyshev_evolve(op, psi, t - current, bounds=bounds)
-            current = t
-            works.append(op.stored_work(psi))
-        works = np.array(works)
-        coeffs = np.polyfit(ts, works, 2)
-        if coeffs[0] < 0:
-            tv = float(np.clip(-coeffs[1] / (2 * coeffs[0]), ts[0], ts[-1]))
-        else:
-            tv = float(ts[np.argmax(works)])
-        psi = chebyshev_evolve(op, psi, tv - current, bounds=bounds)
-        wv = op.stored_work(psi)
-        if wv < works.max():
-            tv, wv = float(ts[np.argmax(works)]), float(works.max())
-        return wv, tv
-
-    w0, t0 = peak(cfg.omega_C)
-    if not tune:
-        return w0, cfg.omega_C, t0
-    offsets = np.array([-span, 0.0, span])
-    values = np.array([peak(cfg.omega_C + o)[0] if o else w0 for o in offsets])
-    coeffs = np.polyfit(offsets, values, 2)
+    op = ProductSpaceOperator(
+        num_particles=cfg.num_particles, modes_battery=cfg.modes_battery,
+        modes_charger=cfg.modes_charger, g_BC=cfg.g_BC,
+        omega_B=cfg.omega_B, omega_C=float(omega))
+    bounds = spectral_bounds(op)
+    psi = op.initial_state(cfg.charger_level)
+    ts = t_guide * np.array([0.96, 1.0, 1.04])
+    works = []
+    current = 0.0
+    for t in ts:
+        psi = chebyshev_evolve(op, psi, t - current, bounds=bounds)
+        current = t
+        works.append(op.stored_work(psi))
+    works = np.array(works)
+    coeffs = np.polyfit(ts, works, 2)
     if coeffs[0] < 0:
-        vertex = float(np.clip(-coeffs[1] / (2 * coeffs[0]), -2 * span,
-                               2 * span))
+        tv = float(np.clip(-coeffs[1] / (2 * coeffs[0]), ts[0], ts[-1]))
     else:
-        vertex = float(offsets[np.argmax(values)])
-    wv, tv = peak(cfg.omega_C + vertex)
-    if wv >= values.max():
-        return wv, cfg.omega_C + vertex, tv
-    best = int(np.argmax(values))
-    omega = cfg.omega_C + offsets[best]
-    w, t = peak(omega)
-    return w, float(omega), t
+        tv = float(ts[np.argmax(works)])
+    psi = chebyshev_evolve(op, psi, tv - current, bounds=bounds)
+    wv = op.stored_work(psi)
+    if wv < works.max():
+        tv, wv = float(ts[np.argmax(works)]), float(works.max())
+    return wv, tv
 
 
 # The dense pipeline works in one parity sector, roughly half the product
@@ -516,7 +497,7 @@ def convergence_check(config, factor=2, tune=True, span=1e-3):
         product_dim = (fock_dimension(cfg.num_particles, cfg.modes_battery)
                        * cfg.modes_charger)
         if product_dim <= DENSE_LIMIT:
-            w, omega, t = _dense_peak(cfg, tune, span)
+            peak = functools.partial(_dense_peak, cfg)
         else:
             guide = results.get("t_low")
             if guide is None:
@@ -524,7 +505,8 @@ def convergence_check(config, factor=2, tune=True, span=1e-3):
                                         cfg.g_BC, cfg.omega_C,
                                         omega_B=cfg.omega_B)
                 guide = tlm.qsl_tlm(params)
-            w, omega, t = _krylov_peak(cfg, guide, tune, span)
+            peak = functools.partial(_krylov_peak, cfg, guide)
+        w, omega, t = _tune_peak(peak, cfg.omega_C, tune, span)
         results[f"W_{tag}"] = w
         results[f"omega_{tag}"] = omega
         results[f"t_{tag}"] = t

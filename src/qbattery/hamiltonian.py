@@ -6,150 +6,125 @@ The quench Hamiltonian splits as H1 = H0 + Hint with
            + (g_B / 2) sum_{ijkl} U^B_{ijkl} a+_i a+_j a_l a_k (battery),
     Hint = g_BC sum_{ijkl} U^{BC}_{ijkl} a+_{B,i} a+_{C,j} a_{C,l} a_{B,k}.
 
-Operators are applied through occupation-vector rules (a_j -> sqrt(n_j),
-a+_j -> sqrt(n_j + 1)) with hash-indexed state lookup. The index/amplitude
-tables depend only on the basis structure, so they are cached and reused
-across frequency and coupling scans.
+Both contact terms come from the Gauss-Hermite factorization of U
+(``integrals.contact_nodes``). With R_q = sum_k phi_k(x_q) b_k, the
+stacked battery lowering map sampled at node x_q,
+
+    Hint         = g_BC sum_q w_q R_q^T R_q (x) chi(x_q) chi(x_q)^T
+                 = g_BC G^T G,
+    battery term = (g_B / 2) sum_q w_q (R_q^T)^2 R_q^2 = (g_B / 2) K^T K,
+
+with G[(q, b-), (b, c)] = sqrt(w_q) R_q[b-, b] chi_c(x_q) on the sector's
+columns only, and K[(q, m), b] = sqrt(w_q) (R_q R_q)[m, b] on the rule of
+the 2 omega_B Gaussian. The rows of G that share a lowered state b-, one
+per node, touch at most M_B * M_C columns, and the rows of K that share an
+(N-2)-particle state m touch M_B (M_B + 1) / 2, so each Gram product is a
+sum of small dense blocks. Nothing is cached between builds. The
+matrix-free operator in ``krylov.py`` applies the same node factors
+without multiplying them out.
 """
 
 from __future__ import annotations
 
-import json
-import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .basis import enumerate_fock_states, fock_parity
 from .errors import ConfigError
-from .integrals import contact_tensor
-
-_TABLE_CACHE_SLOTS = 8
+from .integrals import contact_nodes
 
 
-def _state_structure(num_particles, num_modes):
-    states = enumerate_fock_states(num_particles, num_modes)
-    index = {occ: i for i, occ in enumerate(states)}
-    diag = np.array([sum((j + 0.5) * n for j, n in enumerate(occ))
-                     for occ in states])
-    return states, index, diag
+def _lowering_matrix(states):
+    """Stacked annihilation map.
+
+    Returns a sparse (M * D_low, D) matrix whose block k holds b_k, together
+    with the list of lowered (N-1)-particle states.  Stacking all modes lets
+    one CSR product apply every b_k at once.
+    """
+    num_modes = len(states[0])
+    lowered_index = {}
+    lowered_states = []
+    entries = []
+    for ci, st in enumerate(states):
+        for k in range(num_modes):
+            if st[k] > 0:
+                low = list(st)
+                low[k] -= 1
+                key = tuple(low)
+                li = lowered_index.get(key)
+                if li is None:
+                    li = len(lowered_states)
+                    lowered_index[key] = li
+                    lowered_states.append(key)
+                entries.append((k, li, ci, np.sqrt(st[k])))
+    d_low = len(lowered_states)
+    rows = [k * d_low + li for (k, li, _, _) in entries]
+    cols = [ci for (_, _, ci, _) in entries]
+    amps = [a for (_, _, _, a) in entries]
+    mat = sp.csr_matrix(
+        (amps, (rows, cols)),
+        shape=(num_modes * d_low, len(states)),
+        dtype=float,
+    )
+    return mat, lowered_states
 
 
-def _build_hop_table(states, index, num_modes):
-    """One-body transitions a+_i a_k with k occupied; columns first."""
-    cols, rows, i_idx, k_idx, amps = [], [], [], [], []
-    for col, occ in enumerate(states):
-        for k, nk in enumerate(occ):
-            if nk == 0:
-                continue
-            removed = list(occ)
-            removed[k] -= 1
-            amp_k = math.sqrt(nk)
-            for i in range(num_modes):
-                target = list(removed)
-                target[i] += 1
-                cols.append(col)
-                rows.append(index[tuple(target)])
-                i_idx.append(i)
-                k_idx.append(k)
-                amps.append(amp_k * math.sqrt(removed[i] + 1))
-    return (np.array(cols, dtype=np.int64), np.array(rows, dtype=np.int64),
-            np.array(i_idx, dtype=np.int64), np.array(k_idx, dtype=np.int64),
-            np.array(amps))
+def _raising_table(states):
+    """up[l, k]: index of lowered state l plus one particle in mode k, and
+    amp[l, k] = sqrt(n_k + 1), so R_q[l, up[l, k]] = phi_k(x_q) amp[l, k].
+
+    Read off the lowering map, which holds every (l, k) pair exactly once.
+    Returns up, amp and the lowered states.
+    """
+    lower, lowered = _lowering_matrix(states)
+    lower = lower.tocoo()
+    mode, low = np.divmod(lower.row, len(lowered))
+    up = np.empty((len(lowered), len(states[0])), dtype=np.int64)
+    amp = np.empty(up.shape)
+    up[low, mode] = lower.col
+    amp[low, mode] = lower.data
+    return up, amp, lowered
 
 
-def _build_pair_table(states, index, num_modes):
-    """Two-body transitions a+_i a+_j a_l a_k; all ordered index choices."""
-    cols, rows, idx, amps = [], [], [], []
-    for col, occ in enumerate(states):
-        for k, nk in enumerate(occ):
-            if nk == 0:
-                continue
-            occ1 = list(occ)
-            occ1[k] -= 1
-            amp_k = math.sqrt(nk)
-            for l, nl in enumerate(occ1):
-                if nl == 0:
-                    continue
-                occ2 = list(occ1)
-                occ2[l] -= 1
-                amp_kl = amp_k * math.sqrt(nl)
-                for j in range(num_modes):
-                    occ3 = list(occ2)
-                    occ3[j] += 1
-                    amp_klj = amp_kl * math.sqrt(occ3[j])
-                    for i in range(num_modes):
-                        occ4 = list(occ3)
-                        occ4[i] += 1
-                        cols.append(col)
-                        rows.append(index[tuple(occ4)])
-                        idx.append((i, j, k, l))
-                        amps.append(amp_klj * math.sqrt(occ4[i]))
-    return (np.array(cols, dtype=np.int64), np.array(rows, dtype=np.int64),
-            np.array(idx, dtype=np.int64).reshape(-1, 4), np.array(amps))
+def _gram(dim, blocks, parity):
+    """Dense F^T F for a factor F given block by block.
+
+    Each block is (cols, part): a set of rows of F that are zero outside the
+    n distinct columns ``cols``, restricted to those columns and transposed
+    to shape (n, rows).  Entries between opposite parities vanish
+    analytically, but the node sum does not pair +x_q with -x_q and leaves
+    round-off (~1e-17) there, so they are set to exact zeros.
+    """
+    out = np.zeros((dim, dim))
+    for cols, part in blocks:
+        gram = part @ part.T
+        gram[parity[cols][:, None] != parity[cols][None, :]] = 0.0
+        out[np.ix_(cols, cols)] += gram
+    return out
 
 
-class _StructureCache:
-    def __init__(self, slots):
-        self._slots = slots
-        self._data = OrderedDict()
-        self._lock = threading.Lock()
-
-    def fetch(self, key, builder):
-        with self._lock:
-            if key in self._data:
-                self._data.move_to_end(key)
-                return self._data[key]
-        value = builder()
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self._slots:
-                self._data.popitem(last=False)
-        return value
-
-
-_structures = _StructureCache(_TABLE_CACHE_SLOTS)
-_hop_tables = _StructureCache(_TABLE_CACHE_SLOTS)
-_pair_tables = _StructureCache(_TABLE_CACHE_SLOTS)
-
-
-def _get_structure(num_particles, num_modes):
-    return _structures.fetch(
-        (num_particles, num_modes),
-        lambda: _state_structure(num_particles, num_modes))
-
-
-def _get_hop_table(num_particles, num_modes):
-    states, index, _ = _get_structure(num_particles, num_modes)
-    return _hop_tables.fetch(
-        (num_particles, num_modes),
-        lambda: _build_hop_table(states, index, num_modes))
-
-
-def _get_pair_table(num_particles, num_modes):
-    states, index, _ = _get_structure(num_particles, num_modes)
-    return _pair_tables.fetch(
-        (num_particles, num_modes),
-        lambda: _build_pair_table(states, index, num_modes))
-
-
-def _accumulate(dim, flat_chunks, value_chunks):
-    flat = np.concatenate(flat_chunks)
-    vals = np.concatenate(value_chunks)
-    return np.bincount(flat, weights=vals, minlength=dim * dim).reshape(dim, dim)
-
-
-def _battery_interaction(num_particles, num_modes, g, omega):
-    """Dense (g/2) sum U a+a+aa on the battery Fock basis."""
-    states, _, _ = _get_structure(num_particles, num_modes)
-    dim = len(states)
-    cols, rows, idx, amps = _get_pair_table(num_particles, num_modes)
-    tensor = contact_tensor(num_modes, num_modes, omega, omega)
-    vals = 0.5 * g * amps * tensor[idx[:, 0], idx[:, 1], idx[:, 2], idx[:, 3]]
-    return _accumulate(dim, [rows * dim + cols], [vals])
+def _battery_matrix(states, g_B, omega_B):
+    """Dense battery Hamiltonian on its Fock basis: diagonal one-body part
+    plus (g_B / 2) K^T K."""
+    num_modes = len(states[0])
+    h = np.diag(omega_B * np.array(states, dtype=float)
+                @ (np.arange(num_modes) + 0.5))
+    if g_B == 0.0:
+        return h
+    weights, phi, _ = contact_nodes(num_modes, num_modes, omega_B, omega_B)
+    once, amp1, lowered = _raising_table(states)
+    twice, amp2, _ = _raising_table(lowered)
+    # K's rows for an (N-2)-state m hold R_q R_q[m, m + e_i + e_j]; b_i b_j
+    # = b_j b_i, so the pair i < j is one column counted twice
+    i, j = np.triu_indices(num_modes)
+    targets = once[twice[:, i], j]
+    coef = amp2[:, i] * amp1[twice[:, i], j] * np.where(i < j, 2.0, 1.0)
+    nodes = phi[i] * phi[j] * np.sqrt(weights)
+    parity = np.array([fock_parity(s) for s in states])
+    blocks = ((cols, nodes * c[:, None]) for cols, c in zip(targets, coef))
+    return h + 0.5 * g_B * _gram(len(states), blocks, parity)
 
 
 @dataclass
@@ -188,20 +163,35 @@ def assemble_battery_only(num_particles, num_modes, g_B, omega_B):
         raise ConfigError("need num_particles >= 1 and num_modes >= 1")
     if omega_B <= 0:
         raise ConfigError("omega_B must be positive")
-    states, _, diag = _get_structure(num_particles, num_modes)
-    dim = len(states)
-    h = np.diag(omega_B * diag)
+    states = enumerate_fock_states(num_particles, num_modes)
+    h = _battery_matrix(states, g_B, omega_B)
     if g_B != 0.0:
-        h = h + _battery_interaction(num_particles, num_modes, g_B, omega_B)
         eigenvalues, eigenvectors = np.linalg.eigh(h)
     else:
-        order = np.argsort(omega_B * diag, kind="stable")
-        eigenvalues = omega_B * diag[order]
-        eigenvectors = np.eye(dim)[:, order]
+        diag = np.diag(h)
+        order = np.argsort(diag, kind="stable")
+        eigenvalues = diag[order]
+        eigenvectors = np.eye(len(states))[:, order]
     return BatteryHamiltonian(
         num_particles=num_particles, num_modes=num_modes, g=g_B, omega=omega_B,
         states=tuple(states), matrix=h,
         eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+
+
+def embed_battery_operator(basis, op):
+    """op (x) 1_C restricted to the sector, as CSR.
+
+    ``op`` is a dense matrix on the battery Fock basis; its element (b, b')
+    lands on ((b, c), (b', c)) for every charger mode c that keeps both
+    pairs in the sector.
+    """
+    b, b2 = np.nonzero(op)
+    rows = basis.index_matrix[b]                       # (nnz, M_C)
+    cols = basis.index_matrix[b2]
+    live = (rows >= 0) & (cols >= 0)
+    vals = np.broadcast_to(op[b, b2][:, None], rows.shape)
+    return sp.csr_matrix((vals[live], (rows[live], cols[live])),
+                         shape=(basis.size, basis.size))
 
 
 def _resolve_freqs(basis, omega_B, omega_C):
@@ -219,31 +209,9 @@ def assemble_H0(basis, g_B, omega_B=None, omega_C=None):
     them explicitly reuses the same basis structure across frequency scans.
     """
     wb, wc = _resolve_freqs(basis, omega_B, omega_C)
-    dim = basis.size
-    nb, mb = basis.battery.num_particles, basis.battery.num_modes
-    _, _, bat_diag = _get_structure(nb, mb)
-
-    h = np.zeros((dim, dim))
-    diag = (wb * bat_diag[basis.battery_index]
-            + wc * (basis.charger_index + 0.5))
-    h[np.arange(dim), np.arange(dim)] = diag
-
-    if g_B != 0.0:
-        cols, rows, idx, amps = _get_pair_table(nb, mb)
-        tensor = contact_tensor(mb, mb, wb, wb)
-        base = 0.5 * g_B * amps * tensor[idx[:, 0], idx[:, 1],
-                                         idx[:, 2], idx[:, 3]]
-        flat_chunks, val_chunks = [], []
-        for c in range(basis.charger.num_modes):
-            prow = basis.index_matrix[rows, c]
-            pcol = basis.index_matrix[cols, c]
-            valid = (prow >= 0) & (pcol >= 0)
-            if not valid.any():
-                continue
-            flat_chunks.append(prow[valid] * dim + pcol[valid])
-            val_chunks.append(base[valid])
-        if flat_chunks:
-            h += _accumulate(dim, flat_chunks, val_chunks)
+    battery = _battery_matrix(basis.battery_states, g_B, wb)
+    h = embed_battery_operator(basis, battery).toarray()
+    h[np.diag_indices_from(h)] += wc * (basis.charger_index + 0.5)
     return h
 
 
@@ -251,28 +219,20 @@ def assemble_Hint(basis, g_BC, omega_B=None, omega_C=None):
     """Contact battery-charger coupling on the composite sector basis."""
     wb, wc = _resolve_freqs(basis, omega_B, omega_C)
     dim = basis.size
-    nb, mb = basis.battery.num_particles, basis.battery.num_modes
-    mc = basis.charger.num_modes
     if g_BC == 0.0:
         return np.zeros((dim, dim))
-
-    bcols, brows, i_idx, k_idx, amps = _get_hop_table(nb, mb)
-    tensor = contact_tensor(mb, mc, wb, wc)
-    jgrid = np.arange(mc)
-    flat_chunks, val_chunks = [], []
-    for c in range(mc):
-        pcol = basis.index_matrix[bcols, c]
-        live = pcol >= 0
-        if not live.any():
-            continue
-        prow = basis.index_matrix[np.ix_(brows[live], jgrid)]
-        vals = (g_BC * amps[live, None]
-                * tensor[i_idx[live, None], jgrid[None, :], k_idx[live, None], c])
-        valid = prow >= 0
-        flat_chunks.append((prow[valid] * dim
-                            + np.broadcast_to(pcol[live, None], prow.shape)[valid]))
-        val_chunks.append(vals[valid])
-    return _accumulate(dim, flat_chunks, val_chunks)
+    mb, mc = basis.battery.num_modes, basis.charger.num_modes
+    weights, phi, chi = contact_nodes(mb, mc, wb, wc)
+    up, amp, _ = _raising_table(basis.battery_states)
+    # G's rows for lowered state l: sqrt(w_q) phi_k(x_q) amp[l, k] chi_c(x_q)
+    # in column (up[l, k], c), kept where that pair lies in the sector
+    nodes = (phi[:, None, :] * chi[None, :, :] * np.sqrt(weights)
+             ).reshape(mb * mc, -1)
+    cols = basis.index_matrix[up].reshape(len(up), -1)
+    scale = np.repeat(amp, mc, axis=1)
+    blocks = ((cols[l, live], nodes[live] * scale[l, live, None])
+              for l, live in enumerate(cols >= 0))
+    return g_BC * _gram(dim, blocks, composite_parity_vector(basis))
 
 
 @dataclass
@@ -305,29 +265,8 @@ def build_hamiltonian_set(basis, g_B, g_BC, omega_B=None, omega_C=None):
                           omega_B=wb, omega_C=wc, h0=h0, hint=hint)
 
 
-def dump_matrix(matrix, path, meta=None):
-    """Write a matrix for offline inspection.
-
-    ``.npy`` paths get a binary dump plus a JSON sidecar with the metadata;
-    anything else is written as CSV with ``#`` header lines (row-major).
-    """
-    matrix = np.asarray(matrix)
-    meta = dict(meta or {})
-    meta.setdefault("dim", matrix.shape[0])
-    path = str(path)
-    if path.endswith(".npy"):
-        np.save(path, matrix)
-        with open(path[:-4] + ".json", "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-    else:
-        header = " ".join(f"{k}={v}" for k, v in sorted(meta.items()))
-        np.savetxt(path, matrix, delimiter=",",
-                   header=f"row-major dense matrix; {header}")
-    return path
-
-
 def composite_parity_vector(basis):
-    """Total parity of each kept pair (diagnostic; constant within a sector)."""
+    """Total parity of each kept pair (constant within a parity sector)."""
     bat = np.array([fock_parity(s) for s in basis.battery_states])
     chg = np.array([fock_parity(s) for s in basis.charger_states])
     return bat[basis.battery_index] * chg[basis.charger_index]

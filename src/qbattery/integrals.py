@@ -73,26 +73,8 @@ def _quantize(omega):
     return round(omega / _FREQ_QUANTUM)
 
 
-class _ContactCache:
-    """Read-mostly cache of scalar contact integrals."""
-
-    def __init__(self):
-        self._data = {}
-        self._lock = threading.Lock()
-
-    def get(self, key):
-        return self._data.get(key)
-
-    def put(self, key, value):
-        with self._lock:
-            self._data[key] = value
-
-    def clear(self):
-        with self._lock:
-            self._data.clear()
-
-
-_contact_cache = _ContactCache()
+_contact_cache = {}
+_contact_lock = threading.Lock()
 _tensor_cache = {}
 _tensor_lock = threading.Lock()
 
@@ -120,7 +102,8 @@ def two_body_contact(i, j, k, l, omega_a, omega_b):
     if (i + j + k + l) % 2:
         return 0.0
     key = _contact_key(i, j, k, l, omega_a, omega_b)
-    cached = _contact_cache.get(key)
+    with _contact_lock:
+        cached = _contact_cache.get(key)
     if cached is not None:
         return cached
 
@@ -135,7 +118,8 @@ def two_body_contact(i, j, k, l, omega_a, omega_b):
         math.sqrt(omega_a * omega_b / total)
         * np.dot(rule.weights, pa[i] * pa[k] * pb[j] * pb[l])
     )
-    _contact_cache.put(key, value)
+    with _contact_lock:
+        _contact_cache[key] = value
     return value
 
 
@@ -179,6 +163,22 @@ def contact_tensor(modes_a, modes_b, omega_a, omega_b):
     with _tensor_lock:
         _tensor_cache[key] = tensor
     return tensor
+
+
+def contact_nodes(modes_a, modes_b, omega_a, omega_b):
+    """Node factors of the contact integrals below two mode cutoffs.
+
+    Returns (w, pa, pb) with U_{ijkl} = sum_q w[q] pa[i, q] pb[j, q]
+    pa[k, q] pb[l, q], exact on the rule contact_tensor uses.  pa and pb
+    are bare-polynomial mode values, shapes (modes_a, Q) and (modes_b, Q):
+    the shared Gaussian envelope is the Gauss-Hermite weight.
+    """
+    total = omega_a + omega_b
+    rule = gauss_hermite_rule(2 * (modes_a - 1) + 2 * (modes_b - 1), total)
+    x = rule.positions
+    return (rule.weights / np.sqrt(total),
+            hermite_mode_values(modes_a - 1, omega_a, x, bare_polynomial=True),
+            hermite_mode_values(modes_b - 1, omega_b, x, bare_polynomial=True))
 
 
 def overlap_I00(omega_B, omega_C):
@@ -289,7 +289,8 @@ def overlap_set(n, omega_B, omega_C):
 
 def clear_caches():
     """Drop cached integrals and tensors (mostly for tests)."""
-    _contact_cache.clear()
+    with _contact_lock:
+        _contact_cache.clear()
     with _tensor_lock:
         _tensor_cache.clear()
     with _rule_lock:

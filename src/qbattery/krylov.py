@@ -6,6 +6,10 @@ The interaction is applied in its quadrature-factorized form
 
 where R_q = sum_k phi_k(x_q) b_k annihilates a battery particle at the
 Gauss-Hermite node x_q and v_q[j] = chi_j(x_q) samples the charger modes.
+The lowering map comes from ``hamiltonian._lowering_matrix`` and the nodes,
+weights and mode values from ``integrals.contact_nodes``, the same factors
+``hamiltonian.py`` multiplies out into the dense sector matrices; here they
+act on the full product space, without the parity restriction.
 Each matvec therefore costs O(Q * D * M) instead of touching an assembled
 matrix, which keeps doubled-cutoff runs (dimensions in the tens of
 thousands) affordable.  Two propagators are provided: a short-step
@@ -22,12 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.special import jv
 
-from .basis import enumerate_fock_states, hermite_mode_values
+from .basis import enumerate_fock_states
 from .errors import ConfigError, NumericalBreakdownError
-from .integrals import gauss_hermite_rule
+from .hamiltonian import _lowering_matrix
+from .integrals import contact_nodes
 
 __all__ = [
     "ProductSpaceOperator",
@@ -36,41 +40,6 @@ __all__ = [
     "chebyshev_evolve",
     "propagate_work_series",
 ]
-
-
-def _lowering_matrix(states):
-    """Stacked annihilation map.
-
-    Returns a sparse (M * D_low, D) matrix whose block k holds b_k, together
-    with the list of lowered (N-1)-particle states.  Stacking all modes lets
-    one CSR product apply every b_k at once.
-    """
-    num_modes = len(states[0])
-    lowered_index = {}
-    lowered_states = []
-    entries = []
-    for ci, st in enumerate(states):
-        for k in range(num_modes):
-            if st[k] > 0:
-                low = list(st)
-                low[k] -= 1
-                key = tuple(low)
-                li = lowered_index.get(key)
-                if li is None:
-                    li = len(lowered_states)
-                    lowered_index[key] = li
-                    lowered_states.append(key)
-                entries.append((k, li, ci, np.sqrt(st[k])))
-    d_low = len(lowered_states)
-    rows = [k * d_low + li for (k, li, _, _) in entries]
-    cols = [ci for (_, _, ci, _) in entries]
-    amps = [a for (_, _, _, a) in entries]
-    mat = sp.csr_matrix(
-        (amps, (rows, cols)),
-        shape=(num_modes * d_low, len(states)),
-        dtype=float,
-    )
-    return mat, lowered_states
 
 
 @dataclass
@@ -104,19 +73,10 @@ class ProductSpaceOperator:
         self.work_diag = self.omega_B * occ @ np.arange(self.modes_battery, dtype=float)
         self.charger_diag = self.omega_C * (np.arange(self.modes_charger) + 0.5)
 
-        # quadrature exact for products of four modes of these cutoffs
-        max_degree = 2 * (self.modes_battery - 1) + 2 * (self.modes_charger - 1)
-        total = self.omega_B + self.omega_C
-        rule = gauss_hermite_rule(max_degree, total)
-        x = rule.positions
-        self.node_weights = rule.weights / np.sqrt(total)
-        self.num_nodes = x.size
-        # bare polynomials: the shared Gaussian envelope exp(-total x^2)
-        # is exactly the Gauss-Hermite weight, so the node sum is exact
-        self.battery_modes_at_nodes = hermite_mode_values(
-            self.modes_battery - 1, self.omega_B, x, bare_polynomial=True)
-        self.charger_modes_at_nodes = hermite_mode_values(
-            self.modes_charger - 1, self.omega_C, x, bare_polynomial=True)
+        (self.node_weights, self.battery_modes_at_nodes,
+         self.charger_modes_at_nodes) = contact_nodes(
+            self.modes_battery, self.modes_charger, self.omega_B, self.omega_C)
+        self.num_nodes = self.node_weights.size
 
     @property
     def dim(self) -> int:

@@ -10,7 +10,7 @@ from qbattery.basis import (ParitySector, Species, SpeciesConfig,
 from qbattery.errors import ConfigError
 from qbattery.hamiltonian import (assemble_battery_only, assemble_H0,
                                   assemble_Hint, build_hamiltonian_set,
-                                  composite_parity_vector, dump_matrix)
+                                  composite_parity_vector)
 from qbattery.integrals import two_body_contact
 
 
@@ -38,6 +38,65 @@ def pair_element(bra, ket, omega, g):
     if c == d:
         factor /= math.sqrt(2.0)
     return 2.0 * factor * two_body_contact(a, c, b, d, omega, omega)
+
+
+def apply_annihilate(amp, occ, mode):
+    """a_mode on amp |occ>; (0, None) when the mode is empty."""
+    if occ[mode] == 0:
+        return 0.0, None
+    out = list(occ)
+    out[mode] -= 1
+    return amp * math.sqrt(occ[mode]), tuple(out)
+
+
+def apply_create(amp, occ, mode):
+    out = list(occ)
+    out[mode] += 1
+    return amp * math.sqrt(out[mode]), tuple(out)
+
+
+def battery_pair_reference(states, g, omega):
+    """(g/2) sum_ijkl U_ijkl a+_i a+_j a_l a_k, applied state by state."""
+    modes = len(states[0])
+    index = {s: n for n, s in enumerate(states)}
+    h = np.zeros((len(states), len(states)))
+    for col, occ in enumerate(states):
+        for k in range(modes):
+            amp_k, occ_k = apply_annihilate(1.0, occ, k)
+            if occ_k is None:
+                continue
+            for l in range(modes):
+                amp_l, occ_l = apply_annihilate(amp_k, occ_k, l)
+                if occ_l is None:
+                    continue
+                for j in range(modes):
+                    amp_j, occ_j = apply_create(amp_l, occ_l, j)
+                    for i in range(modes):
+                        amp_i, occ_i = apply_create(amp_j, occ_j, i)
+                        u = two_body_contact(i, j, k, l, omega, omega)
+                        h[index[occ_i], col] += 0.5 * g * u * amp_i
+    return h
+
+
+def coupling_reference(basis, g, omega_B, omega_C):
+    """g sum_ijkl U_ijkl a+_{B,i} a+_{C,j} a_{C,l} a_{B,k} on sector pairs."""
+    modes_b = basis.battery.num_modes
+    index = {s: n for n, s in enumerate(basis.battery_states)}
+    h = np.zeros((basis.size, basis.size))
+    for col, (bi, l) in enumerate(basis.kept_pairs):
+        occ = basis.battery_states[bi]
+        for k in range(modes_b):
+            amp_k, occ_k = apply_annihilate(1.0, occ, k)
+            if occ_k is None:
+                continue
+            for i in range(modes_b):
+                amp_i, occ_i = apply_create(amp_k, occ_k, i)
+                for j in range(basis.charger.num_modes):
+                    row = basis.pair_index(index[occ_i], j)
+                    if row >= 0:
+                        u = two_body_contact(i, j, k, l, omega_B, omega_C)
+                        h[row, col] += g * u * amp_i
+    return h
 
 
 def occupations_to_pair(occ):
@@ -82,6 +141,25 @@ def test_battery_hamiltonian_is_hermitian_and_parity_block():
     par = np.array([fock_parity(s) for s in bat.states])
     cross = bat.matrix[np.ix_(par == 1, par == -1)]
     assert np.abs(cross).max() == 0.0
+
+
+@pytest.mark.parametrize("case", [
+    "battery-N3", "hint-N2-ODD", "hint-N2-FULL", "hint-N3-ODD", "hint-N3-FULL",
+])
+def test_matches_second_quantized_reference(case):
+    kind, n, *sector = case.split("-")
+    num_particles = int(n[1:])
+    if kind == "battery":
+        bat = assemble_battery_only(num_particles, 4, -0.7, 1.3)
+        want = battery_pair_reference(bat.states, -0.7, 1.3)
+        want += np.diag([fock_energy(s, 1.3) for s in bat.states])
+        np.testing.assert_allclose(bat.matrix, want, rtol=0, atol=1e-12)
+        return
+    basis = make_basis(num_particles=num_particles, modes=5, omega_C=1.7,
+                       sector=ParitySector[sector[0]])
+    want = coupling_reference(basis, 0.23, 1.0, 1.7)
+    np.testing.assert_allclose(assemble_Hint(basis, 0.23), want,
+                               rtol=0, atol=1e-12)
 
 
 def test_h0_diagonal_without_battery_interaction():
@@ -155,16 +233,3 @@ def test_assemble_validation():
     basis = make_basis()
     with pytest.raises(ConfigError):
         assemble_H0(basis, 0.0, omega_C=-2.0)
-
-
-def test_dump_matrix_round_trip(tmp_path):
-    basis = make_basis(num_particles=1, modes=4)
-    h = assemble_Hint(basis, 0.1)
-    npy = tmp_path / "hint.npy"
-    dump_matrix(h, npy, meta={"g_BC": 0.1})
-    np.testing.assert_allclose(np.load(npy), h, atol=0)
-    assert (tmp_path / "hint.json").exists()
-    csv_path = tmp_path / "hint.csv"
-    dump_matrix(h, csv_path)
-    np.testing.assert_allclose(np.loadtxt(csv_path, delimiter=","), h,
-                               atol=1e-12)
