@@ -1,12 +1,14 @@
 """Scans, resonance searching, CSV/manifest output, and convergence checks."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from qbattery.dynamics import SimulationConfig
+from qbattery import experiments
+from qbattery.dynamics import QuenchSimulation, SimulationConfig
 from qbattery.errors import ConfigError, NoTransferError
 from qbattery.experiments import (RATIO_CAP, ResonancePeak, ScanConfig,
                                   convergence_check, degeneracy_seeds,
@@ -210,6 +212,22 @@ def test_convergence_check_reports_both_cutoffs():
     assert res["rel_diff"] == pytest.approx(
         abs(res["W_high"] - res["W_low"]) / abs(res["W_low"]), rel=1e-12)
     assert res["rel_diff"] < 1e-2
+
+
+def test_convergence_check_matrix_free_branch(monkeypatch):
+    """Low cutoff dense, high cutoff matrix-free: the reported (W, t) is a
+    point of the high cutoff's own W_B(t), near the low cutoff's t."""
+    cfg = base_config(num_particles=2, modes_battery=8, modes_charger=8,
+                      omega_C=resonance_solve(3, 2, 0.1), target_n=3)
+    # product dimension 36 * 8 = 288 at M = 8, 136 * 16 = 2176 at M = 16
+    monkeypatch.setattr(experiments, "DENSE_LIMIT", 1000)
+    res = convergence_check(cfg, factor=2, tune=True)
+    assert res["modes_high"] == (16, 16)
+    high = dataclasses.replace(cfg, modes_battery=16, modes_charger=16,
+                               omega_C=res["omega_high"])
+    dense = QuenchSimulation(high).work_series(np.array([res["t_high"]]))
+    assert res["W_high"] == pytest.approx(dense[0], rel=0, abs=1e-9)
+    assert 0.96 * res["t_low"] <= res["t_high"] <= 1.04 * res["t_low"]
 
 
 def test_emit_plot_script_compiles(tmp_path):

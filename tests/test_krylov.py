@@ -6,7 +6,7 @@ import pytest
 from qbattery.basis import (ParitySector, Species, SpeciesConfig,
                             build_composite_basis, enumerate_fock_states)
 from qbattery.dynamics import QuenchSimulation, SimulationConfig
-from qbattery.errors import ConfigError
+from qbattery.errors import ConfigError, NumericalBreakdownError
 from qbattery.hamiltonian import build_hamiltonian_set
 from qbattery.krylov import (LanczosPropagator, ProductSpaceOperator,
                              chebyshev_evolve, propagate_work_series,
@@ -47,9 +47,32 @@ def test_matvec_matches_dense(rng):
         np.testing.assert_allclose(op.matvec(v), dense @ v, atol=1e-12)
 
 
+@pytest.mark.parametrize("num_particles,mb,mc", [(1, 8, 5), (2, 5, 7)])
+def test_matvec_real_rows_match_dense(rng, num_particles, mb, mc):
+    op = make_operator(num_particles=num_particles, mb=mb, mc=mc, g=0.17,
+                       wc=1.9)
+    dense = op.dense()
+    v = rng.normal(size=op.dim)
+    got = op.matvec(v)
+    assert got.dtype == np.float64 and got.shape == (op.dim,)
+    np.testing.assert_allclose(got, dense @ v, rtol=0, atol=1e-12)
+    block = rng.normal(size=(3, op.dim))
+    got = op.matvec(block)
+    assert got.shape == (3, op.dim)
+    np.testing.assert_allclose(got, block @ dense.T, rtol=0, atol=1e-12)
+    c = rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)
+    got = op.matvec(c)
+    assert got.dtype == np.complex128
+    np.testing.assert_allclose(got, dense @ c, rtol=0, atol=1e-12)
+    cblock = block[:2] + 1j * block[1:]
+    np.testing.assert_allclose(op.matvec(cblock), cblock @ dense.T, rtol=0,
+                               atol=1e-12)
+
+
 def test_initial_state_layout():
     op = make_operator(num_particles=2, mb=5, mc=5)
     psi = op.initial_state(charger_level=1)
+    assert psi.dtype == np.float64
     assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-15)
     k = int(np.argmax(np.abs(psi)))
     bi, ci = divmod(k, op.modes_charger)
@@ -95,6 +118,32 @@ def test_chebyshev_matches_dense_evolution_both_directions():
     np.testing.assert_allclose(back, psi0, atol=1e-10)
 
 
+def test_chebyshev_real_and_complex_starts_match_dense(rng):
+    op = make_operator(num_particles=2, mb=6, mc=5, g=0.1, wc=1.02)
+    vals, vecs = np.linalg.eigh(op.dense())
+    real = op.initial_state()
+    mixed = rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)
+    mixed /= np.linalg.norm(mixed)
+    bounds = spectral_bounds(op)
+    for psi0 in (real, real.astype(np.complex128), mixed):
+        for t in (17.0, -17.0):
+            ref = vecs @ (np.exp(-1j * vals * t) * (vecs.T @ psi0))
+            psi = chebyshev_evolve(op, psi0, t, bounds=bounds)
+            np.testing.assert_allclose(psi, ref, rtol=0, atol=1e-10)
+
+
+def test_lanczos_norm_drift_raises():
+    class Leaky(LanczosPropagator):
+        def step(self, psi, dt):
+            out, info = super().step(psi, dt)
+            return (None if out is None else out * (1.0 + 1e-6)), info
+
+    op = make_operator(num_particles=1, mb=5, mc=5)
+    with pytest.raises(NumericalBreakdownError):
+        Leaky(op).evolve(op.initial_state(), 2.0)
+    LanczosPropagator(op).evolve(op.initial_state(), 2.0)
+
+
 def test_spectral_bounds_enclose_true_spectrum():
     op = make_operator(num_particles=2, mb=5, mc=5, g=0.15, wc=1.3)
     lo, hi = spectral_bounds(op)
@@ -125,3 +174,9 @@ def test_operator_rejects_interacting_battery_misuse():
     op = make_operator(mb=4, mc=4)
     with pytest.raises(ConfigError):
         propagate_work_series(op, [0.0, 1.0], method="magic")
+
+
+def test_work_series_rejects_empty_grid():
+    op = make_operator(mb=4, mc=4)
+    with pytest.raises(ConfigError):
+        propagate_work_series(op, [])
