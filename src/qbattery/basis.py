@@ -161,15 +161,6 @@ class CompositeBasis:
         """Sector index of a (battery state, charger mode) pair, or -1."""
         return int(self.index_matrix[battery_state, charger_mode])
 
-    def structure_key(self):
-        """Hashable key identifying the sector structure (frequencies aside)."""
-        return (
-            self.battery.num_particles,
-            self.battery.num_modes,
-            self.charger.num_modes,
-            self.sector,
-        )
-
 
 def build_composite_basis(battery, charger, sector=ParitySector.ODD,
                           cap=DEFAULT_BASIS_CAP):

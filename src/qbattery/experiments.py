@@ -23,7 +23,7 @@ from .basis import fock_dimension, fock_parity
 from .dynamics import QuenchSimulation, SimulationConfig
 from .errors import ConfigError, NoTransferError
 from .hamiltonian import assemble_battery_only
-from .krylov import ProductSpaceOperator, chebyshev_evolve, spectral_bounds
+from .krylov import ProductSpaceOperator, work_walk
 from .thermo import golden_section_max, qsl_numeric
 from . import tlm
 
@@ -452,23 +452,15 @@ def _krylov_peak(cfg, t_guide, omega):
         num_particles=cfg.num_particles, modes_battery=cfg.modes_battery,
         modes_charger=cfg.modes_charger, g_BC=cfg.g_BC,
         omega_B=cfg.omega_B, omega_C=float(omega))
-    bounds = spectral_bounds(op)
-    psi = op.initial_state(cfg.charger_level)
+    work = work_walk(op, cfg.charger_level)
     ts = t_guide * np.array([0.96, 1.0, 1.04])
-    works = []
-    current = 0.0
-    for t in ts:
-        psi = chebyshev_evolve(op, psi, t - current, bounds=bounds)
-        current = t
-        works.append(op.stored_work(psi))
-    works = np.array(works)
+    works = np.array([work(t) for t in ts])
     coeffs = np.polyfit(ts, works, 2)
     if coeffs[0] < 0:
         tv = float(np.clip(-coeffs[1] / (2 * coeffs[0]), ts[0], ts[-1]))
     else:
         tv = float(ts[np.argmax(works)])
-    psi = chebyshev_evolve(op, psi, tv - current, bounds=bounds)
-    wv = op.stored_work(psi)
+    wv = work(tv)
     if wv < works.max():
         tv, wv = float(ts[np.argmax(works)]), float(works.max())
     return wv, tv

@@ -75,8 +75,6 @@ def _quantize(omega):
 
 _contact_cache = {}
 _contact_lock = threading.Lock()
-_tensor_cache = {}
-_tensor_lock = threading.Lock()
 
 
 def _contact_key(i, j, k, l, omega_a, omega_b):
@@ -128,14 +126,9 @@ def contact_tensor(modes_a, modes_b, omega_a, omega_b):
 
     Built in one vectorized quadrature pass; entries with odd total index
     parity are zeroed exactly. The (i<->k) and (j<->l) symmetries hold to
-    the bit because the node products are shared.
+    the bit because the node products are shared.  No pipeline stage
+    calls it.
     """
-    key = (modes_a, modes_b, _quantize(omega_a), _quantize(omega_b))
-    with _tensor_lock:
-        cached = _tensor_cache.get(key)
-    if cached is not None:
-        return cached
-
     total = omega_a + omega_b
     max_degree = 2 * (modes_a - 1) + 2 * (modes_b - 1)
     rule = gauss_hermite_rule(max_degree, total)
@@ -159,9 +152,6 @@ def contact_tensor(modes_a, modes_b, omega_a, omega_b):
     parity = (idx_a[:, None, None, None] + idx_b[None, :, None, None]
               + idx_a[None, None, :, None] + idx_b[None, None, None, :]) % 2
     tensor[parity == 1] = 0.0
-    tensor.setflags(write=False)
-    with _tensor_lock:
-        _tensor_cache[key] = tensor
     return tensor
 
 
@@ -288,10 +278,8 @@ def overlap_set(n, omega_B, omega_C):
 
 
 def clear_caches():
-    """Drop cached integrals and tensors (mostly for tests)."""
+    """Drop cached integrals and quadrature rules (mostly for tests)."""
     with _contact_lock:
         _contact_cache.clear()
-    with _tensor_lock:
-        _tensor_cache.clear()
     with _rule_lock:
         _rule_cache.clear()

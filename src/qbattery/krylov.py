@@ -12,22 +12,23 @@ weights and mode values from ``integrals.contact_nodes``, the same factors
 act on the full product space, without the parity restriction.
 
 Cost model.  H and the initial state are real, so everything runs in
-float64: a complex vector is applied as its real and imaginary rows.  One
-application to a k-row block is two GEMMs of size (k D_B) x M_C x Q and two
-row gathers with node sums, each over at most N D_B x k Q entries, so
-O(Q * (D + N * D_B)) per row instead of touching an assembled matrix.
-The work arrays are kept per thread between calls: at D = 62,400 fresh
-temporaries cost more in page faults than the arithmetic.  A real matvec
-takes about 0.35 ms at D = 9,126 (N = 2, M = 26) and 3 to 4 ms at
-D = 62,400 (N = 3, M = 24) with two OpenBLAS threads on a 2-vCPU VM.
+float64: ``matvec`` takes real rows only.  One application to a k-row
+block is two GEMMs of size (k D_B) x M_C x Q and two row gathers with node
+sums, each over at most N D_B x k Q entries, so O(Q * (D + N * D_B)) per
+row instead of touching an assembled matrix.  The work arrays are kept per
+thread between calls: at D = 62,400 fresh temporaries cost more in page
+faults than the arithmetic.  A real matvec takes about 0.35 ms at
+D = 9,126 (N = 2, M = 26) and 3 to 4 ms at D = 62,400 (N = 3, M = 24)
+with two OpenBLAS threads on a 2-vCPU VM.
 
-Two propagators are provided: a short-step Lanczos scheme with full
-reorthogonalization, and a one-shot Chebyshev expansion of exp(-iHt) that
-wins for long horizons because it needs no basis storage or
-reorthogonalization.  The Chebyshev recurrence runs on one real row when
-the state is real and on two otherwise.  Both raise
+One propagator: a one-shot Chebyshev expansion of exp(-iHt) (Tal-Ezer and
+Kosloff, J. Chem. Phys. 81, 3967 (1984)), which needs no basis storage or
+reorthogonalization.  Its recurrence runs on one real row when the state
+is real and on its real and imaginary rows otherwise, and it raises
 ``NumericalBreakdownError`` when the norm drifts by more than
-``NORM_DRIFT_TOL``.
+``NORM_DRIFT_TOL``.  ``work_walk`` is the one checkpointed time walk over
+it: ``propagate_work_series`` and ``experiments.convergence_check`` both
+read W_B(t) through it.
 
 Only the non-interacting battery (g_B = 0) is supported here; the dense
 pipeline covers interacting batteries at production cutoffs.
@@ -49,18 +50,26 @@ from .integrals import contact_nodes
 
 __all__ = [
     "ProductSpaceOperator",
-    "LanczosPropagator",
     "spectral_bounds",
     "chebyshev_evolve",
+    "work_walk",
     "propagate_work_series",
 ]
 
 # Largest change of the norm a propagation may make before it counts as a
-# numerical breakdown: both propagators are unitary up to round-off.
+# numerical breakdown: the Chebyshev expansion is unitary up to round-off.
 NORM_DRIFT_TOL = 1e-8
 
 # Chebyshev terms summed per GEMM in chebyshev_evolve.
 _TERM_BLOCK = 16
+
+# Lanczos steps behind spectral_bounds' Ritz range, and the padding added
+# on both sides as a fraction of that range.
+_RITZ_STEPS = 80
+_RITZ_PAD = 0.03
+
+# Bessel coefficients below this magnitude end the Chebyshev series.
+_BESSEL_TOL = 1e-13
 
 
 @dataclass
@@ -69,9 +78,8 @@ class ProductSpaceOperator:
     on vectors shaped (battery_dim * charger_modes,).  Battery is ideal
     (g_B = 0), so both bare pieces are diagonal in the Fock product basis.
 
-    H is real: ``matvec`` applies it to a real vector, to every row of a
-    real (k, dim) block, or to a complex vector or block as its real and
-    imaginary rows.
+    H is real: ``matvec`` applies it to a real vector or to every row of a
+    real (k, dim) block, and rejects complex input.
     """
 
     num_particles: int
@@ -183,10 +191,8 @@ class ProductSpaceOperator:
     def matvec(self, psi: np.ndarray) -> np.ndarray:
         psi = np.asarray(psi)
         if np.iscomplexobj(psi):
-            out = self._apply(np.concatenate([psi.real, psi.imag])
-                              .reshape(-1, self.dim))
-            half = out.shape[0] // 2
-            return (out[:half] + 1j * out[half:]).reshape(psi.shape)
+            raise ConfigError("matvec takes real rows; apply a complex state "
+                              "as its real and imaginary parts")
         return self._apply(psi.astype(float, copy=False)
                            .reshape(-1, self.dim)).reshape(psi.shape)
 
@@ -216,105 +222,13 @@ class ProductSpaceOperator:
         return float(self.work_diag @ X.sum(axis=1))
 
 
-@dataclass
-class LanczosPropagator:
-    """Short-step Krylov approximation of exp(-i H dt) psi.
-
-    Per step, builds an orthonormal Krylov basis with full (batched)
-    reorthogonalization and applies the exponential of the tridiagonal
-    projection.  The step is accepted once the result is stable under
-    adding two more basis vectors (change below `tol`); otherwise the
-    step size is halved.
-    """
-
-    operator: ProductSpaceOperator
-    max_krylov: int = 80
-    tol: float = 1e-11
-
-    _stats: dict = field(default_factory=dict, repr=False)
-
-    def step(self, psi: np.ndarray, dt: float):
-        op = self.operator
-        norm0 = np.linalg.norm(psi)
-        if norm0 == 0.0:
-            raise NumericalBreakdownError("cannot propagate the zero vector")
-        m = self.max_krylov
-        V = np.empty((m + 1, psi.size), dtype=complex)
-        V[0] = psi / norm0
-        alphas = np.empty(m)
-        betas = np.empty(m)
-        previous = None
-        w = op.matvec(V[0])
-        for j in range(m):
-            a = np.vdot(V[j], w).real
-            alphas[j] = a
-            w = w - a * V[j]
-            if j > 0:
-                w = w - betas[j - 1] * V[j - 1]
-            # batched full reorthogonalization (two BLAS-2 calls)
-            c = V[: j + 1].conj() @ w
-            w = w - V[: j + 1].T @ c
-            b = np.linalg.norm(w)
-            k = j + 1
-            if k >= 2 and (k % 2 == 0 or b < 1e-14):
-                T = np.diag(alphas[:k]) + np.diag(betas[: k - 1], 1) \
-                    + np.diag(betas[: k - 1], -1)
-                evals, evecs = np.linalg.eigh(T)
-                small = evecs @ (np.exp(-1j * evals * dt) * evecs[0])
-                if previous is not None:
-                    pad = np.zeros(k, dtype=complex)
-                    pad[: previous.size] = previous
-                    if np.linalg.norm(small - pad) < self.tol:
-                        out = (small @ V[:k]) * norm0
-                        return out, {"krylov": k, "happy": False}
-                previous = small
-            if b < 1e-14:
-                # invariant subspace: the projection is exact
-                T = np.diag(alphas[:k]) + np.diag(betas[: k - 1], 1) \
-                    + np.diag(betas[: k - 1], -1)
-                evals, evecs = np.linalg.eigh(T)
-                small = evecs @ (np.exp(-1j * evals * dt) * evecs[0])
-                out = (small @ V[:k]) * norm0
-                return out, {"krylov": k, "happy": True}
-            V[j + 1] = w / b
-            betas[j] = b
-            w = op.matvec(V[j + 1])
-        return None, {"krylov": m, "happy": False}
-
-    def evolve(self, psi: np.ndarray, t_final: float, dt: float = 0.5):
-        """Propagate to t_final, shrinking the step whenever the Krylov
-        budget is exhausted.  Raises NumericalBreakdownError when the norm
-        ends more than NORM_DRIFT_TOL away from the start's."""
-        psi = psi.astype(complex)
-        norm0 = np.linalg.norm(psi)
-        t = 0.0
-        halvings = 0
-        while t < t_final - 1e-12:
-            step = min(dt, t_final - t)
-            nxt, info = self.step(psi, step)
-            if nxt is None:
-                dt *= 0.5
-                halvings += 1
-                if halvings > 40:
-                    raise NumericalBreakdownError(
-                        "Lanczos step size collapsed without convergence")
-                continue
-            psi = nxt
-            t += step
-        if abs(np.linalg.norm(psi) - norm0) > NORM_DRIFT_TOL:
-            raise NumericalBreakdownError(
-                "Lanczos propagation lost unitarity; norm drifted")
-        return psi
-
-
-def spectral_bounds(op: ProductSpaceOperator, iterations: int = 80,
-                    pad: float = 0.03):
+def spectral_bounds(op: ProductSpaceOperator):
     """Estimated (lo, hi) enclosing spec(H), from extremal Ritz values of a
-    reorthogonalized Lanczos run padded by `pad` * span on both sides."""
+    reorthogonalized Lanczos run padded by _RITZ_PAD * span on both sides."""
     rng = np.random.default_rng(1905)
     v = rng.standard_normal(op.dim)
     v /= np.linalg.norm(v)
-    m = min(iterations, op.dim)
+    m = min(_RITZ_STEPS, op.dim)
     V = np.empty((m + 1, op.dim))
     V[0] = v
     alphas = np.empty(m)
@@ -344,24 +258,22 @@ def spectral_bounds(op: ProductSpaceOperator, iterations: int = 80,
     # range that turns out too tight
     lo, hi = evals[0], evals[-1]
     span = hi - lo
-    return lo - pad * span, hi + pad * span
+    return lo - _RITZ_PAD * span, hi + _RITZ_PAD * span
 
 
 def chebyshev_evolve(op: ProductSpaceOperator, psi: np.ndarray, t: float,
-                     bounds=None, tol: float = 1e-13):
+                     bounds):
     """One-shot Chebyshev expansion of exp(-i H t) psi.
 
     exp(-iHt) = e^{-iat} sum_m (2 - delta_m0)(-i)^m J_m(bt) T_m((H-a)/b)
-    with [lo, hi] enclosing the spectrum, a the center and b the half-span.
-    Uses the three-term recurrence on real rows (psi itself when it is real,
-    else its real and imaginary parts, since H is real), so memory stays at
-    a ring of _TERM_BLOCK vectors per row and no orthogonalization is
-    needed.  The Bessel tail makes truncation errors drop
-    superexponentially once m exceeds b*|t|.  Negative t rewinds the
+    with bounds = (lo, hi) enclosing the spectrum, a the center and b the
+    half-span.  Uses the three-term recurrence on real rows (psi itself
+    when it is real, else its real and imaginary parts, since H is real),
+    so memory stays at a ring of _TERM_BLOCK vectors per row and no
+    orthogonalization is needed.  The Bessel tail makes truncation errors
+    drop superexponentially once m exceeds b*|t|.  Negative t rewinds the
     evolution (J_m flips sign with odd order, nothing else changes).
     """
-    if bounds is None:
-        bounds = spectral_bounds(op)
     lo, hi = bounds
     if hi <= lo:
         raise ConfigError("spectral bounds must satisfy lo < hi")
@@ -373,7 +285,7 @@ def chebyshev_evolve(op: ProductSpaceOperator, psi: np.ndarray, t: float,
     m_max = int(abs(z) + 50 + 15 * abs(z) ** (1.0 / 3.0))
     orders = np.arange(m_max + 1)
     bess = jv(orders, z)
-    keep = np.nonzero(np.abs(bess) > tol)[0]
+    keep = np.nonzero(np.abs(bess) > _BESSEL_TOL)[0]
     m_max = int(keep[-1]) if keep.size else 0
     coeff = ((-1j) ** orders[: m_max + 1]) * bess[: m_max + 1]
     coeff[1:] *= 2.0
@@ -406,45 +318,48 @@ def chebyshev_evolve(op: ProductSpaceOperator, psi: np.ndarray, t: float,
         n = stop - start
         out += (mix[start:stop].transpose(1, 0, 2).reshape(2, n * k)
                 @ ring[:n].reshape(n * k, -1))
+    # "not <=" so that a nan norm fails too
     drift = abs(np.linalg.norm(out) - np.linalg.norm(psi))
-    if drift > NORM_DRIFT_TOL:
+    if not drift <= NORM_DRIFT_TOL:
         raise NumericalBreakdownError(
             "Chebyshev propagation lost unitarity; spectral bounds too tight")
     return out[0] + 1j * out[1]
 
 
-def propagate_work_series(op: ProductSpaceOperator, times, charger_level: int = 1,
-                          method: str = "auto", dt: float = 0.5,
-                          max_krylov: int = 80, tol: float = 1e-11):
-    """Stored work W_B(t) on a sorted time grid via checkpointed stepping.
+def work_walk(op: ProductSpaceOperator, charger_level: int):
+    """W_B(t) at the times asked for, in any order, along one walk.
 
-    method: "lanczos", "chebyshev", or "auto" (Chebyshev above dimension
-    20000, where avoiding reorthogonalization pays off).
+    Starts from ``op.initial_state(charger_level)`` and computes the
+    spectral bounds once.  Each call evolves the state with one
+    ``chebyshev_evolve`` from the last time asked for, forward or back,
+    and returns the stored work there.
     """
+    bounds = spectral_bounds(op)
+    psi = op.initial_state(charger_level)
+    current = 0.0
+
+    def work(t):
+        nonlocal psi, current
+        if t != current:
+            psi = chebyshev_evolve(op, psi, t - current, bounds)
+            current = t
+        return op.stored_work(psi)
+
+    return work
+
+
+def propagate_work_series(op: ProductSpaceOperator, times, charger_level: int = 1,
+                          method: str = "chebyshev"):
+    """Stored work W_B(t) on a sorted time grid, along one ``work_walk``.
+
+    ``method`` names the propagator; "chebyshev" is the only one.
+    """
+    if method != "chebyshev":
+        raise ConfigError(f"unknown propagation method: {method!r}")
     times = np.asarray(times, dtype=float)
     if (times.ndim != 1 or times.size == 0 or np.any(np.diff(times) < 0)
             or times[0] < 0):
         raise ConfigError("times must be a non-empty, sorted, non-negative "
                           "1-D grid")
-    if method == "auto":
-        method = "chebyshev" if op.dim > 20000 else "lanczos"
-    psi = op.initial_state(charger_level)
-    out = np.empty_like(times)
-    current = 0.0
-    if method == "chebyshev":
-        bounds = spectral_bounds(op)
-        for i, t in enumerate(times):
-            if t > current:
-                psi = chebyshev_evolve(op, psi, t - current, bounds=bounds)
-                current = t
-            out[i] = op.stored_work(psi)
-    elif method == "lanczos":
-        prop = LanczosPropagator(op, max_krylov=max_krylov, tol=tol)
-        for i, t in enumerate(times):
-            if t > current:
-                psi = prop.evolve(psi, t - current, dt=dt)
-                current = t
-            out[i] = op.stored_work(psi)
-    else:
-        raise ConfigError(f"unknown propagation method: {method!r}")
-    return out
+    work = work_walk(op, charger_level)
+    return np.array([work(t) for t in times])

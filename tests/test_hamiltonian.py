@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qbattery import hamiltonian
 from qbattery.basis import (ParitySector, Species, SpeciesConfig,
                             build_composite_basis, fock_energy, fock_parity)
 from qbattery.errors import ConfigError
@@ -223,6 +224,19 @@ def test_hamiltonian_set_h1_sum():
     basis = make_basis(num_particles=2, modes=5)
     hs = build_hamiltonian_set(basis, g_B=0.3, g_BC=0.1)
     np.testing.assert_allclose(hs.h1, hs.h0 + hs.hint, atol=0)
+
+
+def test_hermiticity_check_catches_one_asymmetric_entry(monkeypatch):
+    # the sector spans several 256 x 256 tiles, so the bad entry sits in a
+    # corner tile that is compared with its mirror tile
+    basis = make_basis(num_particles=2, modes=12)
+    assert basis.size > 256
+    hint = assemble_Hint(basis, 0.1)
+    hint[0, basis.size - 1] += 1e-11
+    monkeypatch.setattr(hamiltonian, "assemble_Hint", lambda *args: hint)
+    with pytest.raises(AssertionError,
+                       match="Hint assembly lost Hermiticity"):
+        build_hamiltonian_set(basis, g_B=0.0, g_BC=0.1)
 
 
 def test_assemble_validation():
