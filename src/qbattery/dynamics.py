@@ -26,8 +26,9 @@ chunks of _BLOCK_COLUMNS, so no (D x T) block larger than that is held.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 from scipy import sparse
@@ -46,6 +47,9 @@ _BLOCK_COLUMNS = 256     # times per read-out block
 _IMAG_TOL = 1e-10        # imaginary residue of a real-operator expectation
 _NORM_TOL = 1e-10        # | |psi(t)| - 1 | per column
 _ENERGY_RTOL = 1e-8      # E_total drift, relative to max(1, |E_total(0)|)
+# Horizon in QSL estimates: the variance bound undershoots the peak time by
+# up to a factor of two at weak coupling.
+_SPAN_FACTOR = 3.0
 
 
 @dataclass
@@ -277,10 +281,6 @@ class QuenchSimulation:
         re, im = self._block(np.asarray(times, dtype=float))
         return re + 1j * im
 
-    def work_of_state(self, amplitudes):
-        a = np.asarray(amplitudes)[:, None]
-        return float(_expect(self._work_op, a.real, a.imag)[0])
-
     def work_series(self, times):
         """Stored work W_B on a time grid (vectorized)."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -288,9 +288,6 @@ class QuenchSimulation:
         for part in _chunks(times.size):
             out[part] = _expect(self._work_op, *self._block(times[part]))
         return out
-
-    def work_at(self, t):
-        return self.work_of_state(self.state_at(t).amplitudes)
 
     def qsl_estimate(self):
         """Mandelstam-Tamm time from the initial-state energy variance."""
@@ -350,25 +347,25 @@ class QuenchSimulation:
             entropy=out["S_B"], interaction_energy=out["E_int"],
             irreversible_work=out["W_irr"], total_energy=out["E_total"])
 
-    def default_times(self, points=600, span_factor=3.0):
-        """points samples over [0, span_factor * QSL estimate].
+    def _horizon(self):
+        """_SPAN_FACTOR QSL estimates; 10 / omega_B when H1 does not move
+        psi(0) (zero energy variance, no transfer)."""
+        horizon = _SPAN_FACTOR * self.qsl_estimate()
+        return horizon if np.isfinite(horizon) else 10.0 / self.config.omega_B
 
-        The variance bound undershoots the actual peak time by up to a
-        factor of two at weak coupling, hence the generous default span.
-        """
-        horizon = span_factor * self.qsl_estimate()
-        if not np.isfinite(horizon) or horizon <= 0:
-            horizon = 10.0 / self.config.omega_B
-        return np.linspace(0.0, horizon, points)
+    def default_times(self, points=600):
+        """points samples over [0, _SPAN_FACTOR * QSL estimate]."""
+        return np.linspace(0.0, self._horizon(), points)
 
-    def summarize(self, horizon=None, **find_kwargs):
-        """Charging summary at the first stored-work maximum."""
-        if horizon is None:
-            est = self.qsl_estimate()
-            horizon = 3.0 * est if np.isfinite(est) else 30.0 / self.config.omega_B
-        return thermo.find_t_max(self.work_series, horizon,
-                                 observables_at=self.observables_at,
-                                 **find_kwargs)
+    def summarize(self):
+        """Charging summary at the first stored-work maximum, with every
+        observable read out at t_max."""
+        s = thermo.find_t_max(self.work_series, self._horizon())
+        obs = self.observables_at(s.t_max)
+        return dataclasses.replace(
+            s, ergotropy=obs["ergotropy"], entropy=obs["S_B"],
+            irreversible_work=obs["W_irr"], interaction_energy=obs["E_int"],
+            total_energy=obs["E_total"])
 
 
 def time_series(config, times=None, points=600):

@@ -50,6 +50,9 @@ SWEEPABLE = ("omega_C", "g_BC", "g_B", "target_n")
 # (measured 1.005 at g_BC = 0.1); the cap only guards against real errors.
 RATIO_CAP = 1.05
 
+_SEED_POINTS = 13   # omega_C grid per seed bracket in find_resonance_peaks
+_TUNE_SPAN = 1e-3   # omega_C step of convergence_check's tuning parabola
+
 
 @dataclass
 class ScanConfig:
@@ -233,16 +236,16 @@ def degeneracy_seeds(window, config):
 
 
 def find_resonance_peaks(window, config, xtol=1e-5, seed_radius=0.08,
-                         coarse_points=13, min_ratio=0.5):
+                         min_ratio=0.5):
     """All transfer-ratio peaks in an omega_C window.
 
     Around every decoupled-degeneracy seed (plus the closed-form root for an
-    ideal battery) a local coarse grid brackets the maxima and golden-section
-    search refines every interior local maximum of that grid.  A grid edge is
-    never a candidate, and a refinement that runs onto its bracket edge is
-    dropped: both are flanks of a resonance centred elsewhere.  Peaks below
-    min_ratio are dropped; overlapping refinements are deduplicated to the
-    higher ratio.
+    ideal battery) a local grid of _SEED_POINTS brackets the maxima and
+    golden-section search refines every interior local maximum of that
+    grid.  A grid edge is never a candidate, and a refinement that runs
+    onto its bracket edge is dropped: both are flanks of a resonance
+    centred elsewhere.  Peaks below min_ratio are dropped; overlapping
+    refinements are deduplicated to the higher ratio.
     """
     lo, hi = window
     if not (0 < lo < hi):
@@ -276,7 +279,7 @@ def find_resonance_peaks(window, config, xtol=1e-5, seed_radius=0.08,
         a, b = max(lo, seed - seed_radius), min(hi, seed + seed_radius)
         if b - a < 4 * xtol:
             continue
-        grid = np.linspace(a, b, coarse_points)
+        grid = np.linspace(a, b, _SEED_POINTS)
         vals = [evaluate(w)[0] for w in grid]
         for i in range(1, len(grid) - 1):
             if not vals[i - 1] < vals[i] >= vals[i + 1]:
@@ -412,20 +415,20 @@ def wirr_scan(scan: ScanConfig):
     return rows
 
 
-def _tune_peak(peak, omega, tune, span):
+def _tune_peak(peak, omega, tune):
     """(W_B at first maximum, omega used, t_max) from a per-omega
     ``peak(omega) -> (W, t)``, optionally re-centering omega_C on the local
-    peak of W(omega) with a three-point parabola."""
+    peak of W(omega) with a parabola through omega + (-1, 0, 1) _TUNE_SPAN."""
     w0, t0 = peak(omega)
     if not tune:
         return w0, omega, t0
-    offsets = np.array([-span, 0.0, span])
+    offsets = np.array([-_TUNE_SPAN, 0.0, _TUNE_SPAN])
     runs = [peak(omega + o) if o else (w0, t0) for o in offsets]
     values = np.array([w for w, _ in runs])
     coeffs = np.polyfit(offsets, values, 2)
     if coeffs[0] < 0:
-        vertex = float(np.clip(-coeffs[1] / (2 * coeffs[0]), -2 * span,
-                               2 * span))
+        vertex = float(np.clip(-coeffs[1] / (2 * coeffs[0]), -2 * _TUNE_SPAN,
+                               2 * _TUNE_SPAN))
     else:
         vertex = float(offsets[np.argmax(values)])
     wv, tv = peak(omega + vertex)
@@ -444,26 +447,18 @@ def _dense_peak(cfg, omega):
 
 
 def _krylov_peak(cfg, t_guide, omega):
-    """(W_B, t_max) on the matrix-free pipeline (g_B = 0 only), with t_max
-    refined by a parabola through three points around t_guide."""
+    """(W_B, t_max) on the matrix-free pipeline (g_B = 0 only): the maximum
+    of W_B(t) over t_guide * [0.96, 1.04], found by golden-section search
+    along one ``work_walk``."""
     if cfg.g_B != 0:
         raise ConfigError("matrix-free path requires an ideal battery")
     op = ProductSpaceOperator(
         num_particles=cfg.num_particles, modes_battery=cfg.modes_battery,
         modes_charger=cfg.modes_charger, g_BC=cfg.g_BC,
         omega_B=cfg.omega_B, omega_C=float(omega))
-    work = work_walk(op, cfg.charger_level)
-    ts = t_guide * np.array([0.96, 1.0, 1.04])
-    works = np.array([work(t) for t in ts])
-    coeffs = np.polyfit(ts, works, 2)
-    if coeffs[0] < 0:
-        tv = float(np.clip(-coeffs[1] / (2 * coeffs[0]), ts[0], ts[-1]))
-    else:
-        tv = float(ts[np.argmax(works)])
-    wv = work(tv)
-    if wv < works.max():
-        tv, wv = float(ts[np.argmax(works)]), float(works.max())
-    return wv, tv
+    t, w = golden_section_max(work_walk(op, cfg.charger_level),
+                              0.96 * t_guide, 1.04 * t_guide)
+    return w, t
 
 
 # The dense pipeline works in one parity sector, roughly half the product
@@ -471,15 +466,16 @@ def _krylov_peak(cfg, t_guide, omega):
 DENSE_LIMIT = 8000
 
 
-def convergence_check(config, factor=2, tune=True, span=1e-3):
+def convergence_check(config, factor=2, tune=True):
     """Cutoff convergence of the first stored-work maximum.
 
     Runs the pipeline at the working cutoffs and with both mode cutoffs
     multiplied by `factor`.  With tune=True each cutoff re-centers omega_C
     on its local transfer peak (three-point parabola through W_peak(omega)),
     so the comparison tracks the physical peak height rather than mixing in
-    the slow cutoff drift of the peak position.  Large problems fall back to
-    the matrix-free propagator.
+    the slow cutoff drift of the peak position.  Above DENSE_LIMIT a cutoff
+    runs matrix-free, with t_max searched within 4 % of t_low (or of the
+    two-level speed-limit time).
     """
     high = dataclasses.replace(config,
                                modes_battery=factor * config.modes_battery,
@@ -498,7 +494,7 @@ def convergence_check(config, factor=2, tune=True, span=1e-3):
                                         omega_B=cfg.omega_B)
                 guide = tlm.qsl_tlm(params)
             peak = functools.partial(_krylov_peak, cfg, guide)
-        w, omega, t = _tune_peak(peak, cfg.omega_C, tune, span)
+        w, omega, t = _tune_peak(peak, cfg.omega_C, tune)
         results[f"W_{tag}"] = w
         results[f"omega_{tag}"] = omega
         results[f"t_{tag}"] = t

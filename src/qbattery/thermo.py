@@ -20,6 +20,11 @@ from .errors import NoTransferError, NumericalBreakdownError
 _CLIP_FLOOR = -1e-10
 _CLIP_BUDGET = 1e-8
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_COARSE_POINTS = 1201    # find_t_max's first grid over [0, horizon]
+_MIN_WORK = 1e-12        # smallest maximum W_B that counts as a transfer
+_NEAR_PEAK_RTOL = 1e-3   # an earlier local maximum this close to the top wins
+_XTOL = 1e-6             # golden-section tolerance
+_MAX_EXTENSIONS = 3      # horizon doublings while the maximum is on the end
 
 
 @dataclass
@@ -152,7 +157,7 @@ def qsl_numeric(state0, h):
     return variance_to_qsl(var)
 
 
-def golden_section_max(f, a, b, xtol=1e-6):
+def golden_section_max(f, a, b, xtol=_XTOL):
     """Locate the maximum of a unimodal function on [a, b]."""
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
@@ -172,7 +177,8 @@ def golden_section_max(f, a, b, xtol=1e-6):
 
 @dataclass
 class ChargingSummary:
-    """Observables at the first stored-work maximum."""
+    """Observables at the first stored-work maximum: find_t_max fills the
+    first three, QuenchSimulation.summarize the rest."""
 
     t_max: float
     stored_work: float
@@ -184,52 +190,44 @@ class ChargingSummary:
     total_energy: float | None = None
 
 
-def find_t_max(work, horizon, *, coarse_points=1201, min_work=1e-12,
-               near_peak_rtol=1e-3, xtol=1e-6, observables_at=None,
-               max_extensions=3):
+def find_t_max(work, horizon):
     """Earliest time achieving the maximum stored work.
 
     ``work`` must map a time array to a W_B array. A coarse grid locates
-    the global maximum; the earliest local maximum whose value is within
-    near_peak_rtol of it is refined by golden-section search (weak residual
-    oscillations make strictly-first local maxima spurious). The horizon is
-    extended when the maximum sits on the end of the grid.
+    the global maximum; the earliest local maximum within _NEAR_PEAK_RTOL of
+    it is refined by golden-section search (weak residual oscillations make
+    strictly-first local maxima spurious). The horizon is extended when the
+    maximum sits on the end of the grid.
     """
     if horizon <= 0 or not np.isfinite(horizon):
         raise ValueError("horizon must be positive and finite")
-    for _ in range(max_extensions + 1):
-        times = np.linspace(0.0, horizon, coarse_points)
+    for _ in range(_MAX_EXTENSIONS + 1):
+        times = np.linspace(0.0, horizon, _COARSE_POINTS)
         values = np.asarray(work(times), dtype=float)
         best = int(np.argmax(values))
-        if best < coarse_points - 2:
+        if best < _COARSE_POINTS - 2:
             break
         horizon *= 2.0
     w_star = values[best]
-    if w_star < min_work:
+    if w_star < _MIN_WORK:
         raise NoTransferError(
-            f"maximum stored work {w_star:.3e} below threshold {min_work:.3e}")
+            f"maximum stored work {w_star:.3e} below threshold "
+            f"{_MIN_WORK:.3e}")
 
-    interior = np.arange(1, coarse_points - 1)
+    interior = np.arange(1, _COARSE_POINTS - 1)
     is_peak = (values[interior] >= values[interior - 1]) & \
               (values[interior] >= values[interior + 1])
-    peaks = interior[is_peak & (values[interior] >= (1.0 - near_peak_rtol) * w_star)]
+    near = values[interior] >= (1.0 - _NEAR_PEAK_RTOL) * w_star
+    peaks = interior[is_peak & near]
     pick = int(peaks[0]) if peaks.size else best
 
     lo = times[max(pick - 1, 0)]
-    hi = times[min(pick + 1, coarse_points - 1)]
+    hi = times[min(pick + 1, _COARSE_POINTS - 1)]
     t_max, w_max = golden_section_max(
-        lambda t: float(work(np.array([t]))[0]), lo, hi, xtol=xtol)
+        lambda t: float(work(np.array([t]))[0]), lo, hi)
     if w_max < values[pick]:
         t_max, w_max = float(times[pick]), float(values[pick])
 
-    summary = ChargingSummary(
+    return ChargingSummary(
         t_max=float(t_max), stored_work=float(w_max),
         power=float(w_max / t_max) if t_max > 0 else math.inf)
-    if observables_at is not None:
-        obs = observables_at(summary.t_max)
-        summary.ergotropy = obs.get("ergotropy")
-        summary.entropy = obs.get("S_B")
-        summary.irreversible_work = obs.get("W_irr")
-        summary.interaction_energy = obs.get("E_int")
-        summary.total_energy = obs.get("E_total")
-    return summary

@@ -69,13 +69,13 @@ def test_work_series_matches_pointwise_observables():
     for t, w in zip(times, series):
         obs = sim.observables_at(t)
         assert w == pytest.approx(obs["W_B"], abs=1e-12)
-        assert sim.work_at(t) == pytest.approx(w, abs=1e-12)
+        assert sim.work_series([t])[0] == pytest.approx(w, abs=1e-12)
 
 
 def test_stored_work_zero_at_t0():
     sim = QuenchSimulation(small_config(num_particles=2, g_B=0.7,
                                         omega_C=1.1))
-    assert sim.work_at(0.0) == pytest.approx(0.0, abs=1e-12)
+    assert sim.work_series([0.0])[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_weak_coupling_follows_two_level_sine():
@@ -142,7 +142,7 @@ def test_default_times_cover_expected_peak():
 def test_summarize_reports_peak(resonant_sim_n3, resonant_summary_n3):
     res = resonant_summary_n3
     assert res.stored_work == pytest.approx(
-        resonant_sim_n3.work_at(res.t_max), abs=1e-10)
+        resonant_sim_n3.work_series([res.t_max])[0], abs=1e-10)
     assert res.power == pytest.approx(res.stored_work / res.t_max, rel=1e-12)
     assert res.t_max > 0
 
@@ -155,7 +155,8 @@ def test_sector_full_agrees_with_odd_for_quench():
     sim_o = QuenchSimulation(cfg_odd)
     sim_f = QuenchSimulation(cfg_full)
     for t in (2.0, 17.0):
-        assert sim_o.work_at(t) == pytest.approx(sim_f.work_at(t), abs=1e-11)
+        assert sim_o.work_series([t])[0] == pytest.approx(
+            sim_f.work_series([t])[0], abs=1e-11)
 
 
 def test_config_validation_and_cutoff_warning():

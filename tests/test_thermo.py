@@ -156,6 +156,12 @@ def test_find_t_max_populates_observables():
         num_particles=1, omega_C=1.0, g_BC=0.1,
         modes_battery=6, modes_charger=6, target_n=1))
     res = sim.summarize()
-    for field in ("ergotropy", "entropy", "irreversible_work",
-                  "interaction_energy", "total_energy"):
-        assert getattr(res, field) is not None
+    obs = sim.observables_at(res.t_max)
+    assert res.stored_work == pytest.approx(obs["W_B"], abs=1e-12)
+    fields = {"ergotropy": "ergotropy", "entropy": "S_B",
+              "irreversible_work": "W_irr", "interaction_energy": "E_int",
+              "total_energy": "E_total"}
+    # distinct values, so a swapped key cannot pass
+    assert len({obs[key] for key in fields.values()}) == len(fields)
+    for field, key in fields.items():
+        assert getattr(res, field) == obs[key]
