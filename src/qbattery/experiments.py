@@ -241,11 +241,12 @@ def find_resonance_peaks(window, config, xtol=1e-5, seed_radius=0.08,
 
     Around every decoupled-degeneracy seed (plus the closed-form root for an
     ideal battery) a local grid of _SEED_POINTS brackets the maxima and
-    golden-section search refines every interior local maximum of that
-    grid.  A grid edge is never a candidate, and a refinement that runs
-    onto its bracket edge is dropped: both are flanks of a resonance
-    centred elsewhere.  Peaks below min_ratio are dropped; overlapping
-    refinements are deduplicated to the higher ratio.
+    golden_section_max (Brent's method) refines every interior local
+    maximum of that grid between its grid neighbours, each step a full
+    simulation.  A grid edge is never a candidate, and a refinement that
+    ends within xtol of its bracket edge is dropped: both are flanks of a
+    resonance centred elsewhere.  Peaks below min_ratio are dropped;
+    overlapping refinements are deduplicated to the higher ratio.
     """
     lo, hi = window
     if not (0 < lo < hi):
@@ -448,8 +449,8 @@ def _dense_peak(cfg, omega):
 
 def _krylov_peak(cfg, t_guide, omega):
     """(W_B, t_max) on the matrix-free pipeline (g_B = 0 only): the maximum
-    of W_B(t) over t_guide * [0.96, 1.04], found by golden-section search
-    along one ``work_walk``."""
+    of W_B(t) over t_guide * [0.96, 1.04], found by golden_section_max
+    (Brent's method) along one ``work_walk``."""
     if cfg.g_B != 0:
         raise ConfigError("matrix-free path requires an ideal battery")
     op = ProductSpaceOperator(

@@ -19,11 +19,11 @@ from .errors import NoTransferError, NumericalBreakdownError
 
 _CLIP_FLOOR = -1e-10
 _CLIP_BUDGET = 1e-8
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0   # golden-section step, 1 - 1/phi
 _COARSE_POINTS = 1201    # find_t_max's first grid over [0, horizon]
 _MIN_WORK = 1e-12        # smallest maximum W_B that counts as a transfer
 _NEAR_PEAK_RTOL = 1e-3   # an earlier local maximum this close to the top wins
-_XTOL = 1e-6             # golden-section tolerance
+_XTOL = 1e-6             # golden_section_max tolerance in t
 _MAX_EXTENSIONS = 3      # horizon doublings while the maximum is on the end
 
 
@@ -158,21 +158,59 @@ def qsl_numeric(state0, h):
 
 
 def golden_section_max(f, a, b, xtol=_XTOL):
-    """Locate the maximum of a unimodal function on [a, b]."""
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > xtol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
+    """Maximum of a unimodal function on [a, b]: (x, f(x)), x within xtol
+    of the maximizer.
+
+    Brent's method (Brent, Algorithms for Minimization without Derivatives,
+    1973, ch. 5) is golden section with parabolic steps: each step fits a
+    parabola through the three best points so far and takes its vertex when
+    that lands inside the bracket and moves less than half the step before
+    last; otherwise it takes a golden-section step.  No step is shorter
+    than xtol / 3, and the search ends when the best point is within
+    2 xtol / 3 of both bracket edges.  The returned x is the best point
+    evaluated, so f(x) costs no extra call.
+    """
+    tol = xtol / 3.0
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = f(x)
+    step = last = 0.0
+    while max(x - a, b - x) > 2.0 * tol:
+        mid = 0.5 * (a + b)
+        parabolic = False
+        if abs(last) > tol:
+            r = (x - w) * (fv - fx)
+            q = (x - v) * (fw - fx)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            if abs(p) < abs(0.5 * q * last) and q * (a - x) < p < q * (b - x):
+                last, step = step, p / q
+                parabolic = True
+                if min(x + step - a, b - x - step) < 2.0 * tol:
+                    step = tol if x < mid else -tol
+        if not parabolic:
+            last = (b - x) if x < mid else (a - x)
+            step = _GOLDEN * last
+        u = x + (step if abs(step) >= tol else math.copysign(tol, step))
+        fu = f(u)
+        if fu > fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    t = 0.5 * (a + b)
-    return t, f(t)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
 
 
 @dataclass
@@ -193,21 +231,33 @@ class ChargingSummary:
 def find_t_max(work, horizon):
     """Earliest time achieving the maximum stored work.
 
-    ``work`` must map a time array to a W_B array. A coarse grid locates
-    the global maximum; the earliest local maximum within _NEAR_PEAK_RTOL of
-    it is refined by golden-section search (weak residual oscillations make
-    strictly-first local maxima spurious). The horizon is extended when the
-    maximum sits on the end of the grid.
+    ``work`` must map a time array to a W_B array. A coarse grid of
+    _COARSE_POINTS over [0, horizon] locates the global maximum; the
+    earliest local maximum within _NEAR_PEAK_RTOL of it is refined by
+    golden_section_max between its grid neighbours (weak residual
+    oscillations make strictly-first local maxima spurious). While the
+    maximum sits on the end of the grid the horizon doubles, up to
+    _MAX_EXTENSIONS times. Point k < (_COARSE_POINTS - 1) / 2 of the doubled
+    grid is bit for bit point 2k of the old one, so only the rest is
+    evaluated; the grid stays np.linspace(0, horizon, _COARSE_POINTS).
+    t_max is resolved to _XTOL, but W_B(t) is so flat at its maximum that
+    round-off moves the result by up to about 3e-6.
     """
     if horizon <= 0 or not np.isfinite(horizon):
         raise ValueError("horizon must be positive and finite")
-    for _ in range(_MAX_EXTENSIONS + 1):
-        times = np.linspace(0.0, horizon, _COARSE_POINTS)
-        values = np.asarray(work(times), dtype=float)
-        best = int(np.argmax(values))
-        if best < _COARSE_POINTS - 2:
+    half = (_COARSE_POINTS - 1) // 2
+    times = np.linspace(0.0, horizon, _COARSE_POINTS)
+    values = np.asarray(work(times), dtype=float)
+    for _ in range(_MAX_EXTENSIONS):
+        if np.argmax(values) < _COARSE_POINTS - 2:
             break
         horizon *= 2.0
+        times = np.linspace(0.0, horizon, _COARSE_POINTS)
+        # linspace pins its last point to the horizon, so the old end point
+        # can differ from the new midpoint by an ulp: evaluate it afresh
+        values = np.concatenate(
+            [values[:-1:2], np.asarray(work(times[half:]), dtype=float)])
+    best = int(np.argmax(values))
     w_star = values[best]
     if w_star < _MIN_WORK:
         raise NoTransferError(

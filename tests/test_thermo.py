@@ -125,6 +125,32 @@ def test_golden_section_max_quadratic():
     assert val == pytest.approx(4.0, abs=1e-12)
 
 
+def test_golden_section_max_parabolic_steps_save_calls():
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return -(t - 1.7) ** 2 + 4.0
+
+    t, val = golden_section_max(f, 0.0, 5.0, xtol=1e-6)
+    assert t == pytest.approx(1.7, abs=1e-6)
+    assert val == f(t)
+    # pure golden section needs 36 calls here
+    assert len(calls) <= 10
+
+
+@pytest.mark.parametrize("f, a, b, xtol, want", [
+    (lambda t: math.sin(t / 10.0) ** 2, 15.0, 16.5, 1e-6, 5.0 * math.pi),
+    # monotone: the maximizer is the bracket edge, which find_resonance_peaks
+    # recognises by a result within xtol of it
+    (lambda t: t, 0.0, 1.0, 1e-5, 1.0),
+])
+def test_golden_section_max_within_xtol(f, a, b, xtol, want):
+    t, val = golden_section_max(f, a, b, xtol=xtol)
+    assert abs(t - want) <= xtol
+    assert val == f(t)
+
+
 def test_find_t_max_on_analytic_signal():
     # W(t) = sin^2(t/10): first peak at 5 pi
     res = find_t_max(lambda ts: np.sin(np.asarray(ts) / 10.0) ** 2, 40.0)
@@ -137,6 +163,25 @@ def test_find_t_max_extends_horizon():
     # peak at t = 50 pi, initial horizon far too short
     res = find_t_max(lambda ts: np.sin(np.asarray(ts) / 100.0) ** 2, 40.0)
     assert res.t_max == pytest.approx(50.0 * math.pi, rel=1e-4)
+
+
+def test_find_t_max_doubling_reuses_grid():
+    calls = []
+
+    def work(ts):
+        calls.append(np.array(ts))
+        return np.sin(calls[-1] / 100.0) ** 2
+
+    find_t_max(work, 40.0)
+    # horizon 40 -> 80 -> 160: one full grid, then 601 new points per doubling
+    assert [c.size for c in calls[:3]] == [1201, 601, 601]
+    assert all(c.size == 1 for c in calls[3:])
+    grid = calls[0]
+    for h, new in zip((80.0, 160.0), calls[1:3]):
+        # the even half of the old grid plus the new points is bit for bit
+        # a fresh grid on [0, h], so the reused work values are exact
+        grid = np.concatenate([grid[:-1:2], new])
+        np.testing.assert_array_equal(grid, np.linspace(0.0, h, 1201))
 
 
 def test_find_t_max_picks_earliest_equivalent_peak():
