@@ -7,8 +7,8 @@ from .basis import (CompositeBasis, ParitySector, Species, SpeciesConfig,
                     build_composite_basis, enumerate_fock_states)
 from .dynamics import (ObservableSeries, QuenchSimulation, SimulationConfig,
                        time_series)
-from .errors import (ConfigError, CutoffWarning, NoTransferError,
-                     NumericalBreakdownError)
+from .errors import (ConfigError, CutoffWarning, HorizonWarning,
+                     NoTransferError, NumericalBreakdownError)
 from .experiments import (ResonancePeak, ScanConfig, convergence_check,
                           fine_tune_resonance, find_resonance_peaks,
                           power_scan, spectrum_scan, wirr_scan)
@@ -24,7 +24,7 @@ __all__ = [
     "CompositeBasis", "ParitySector", "Species", "SpeciesConfig",
     "build_composite_basis", "enumerate_fock_states",
     "ObservableSeries", "QuenchSimulation", "SimulationConfig", "time_series",
-    "ConfigError", "CutoffWarning", "NoTransferError",
+    "ConfigError", "CutoffWarning", "HorizonWarning", "NoTransferError",
     "NumericalBreakdownError",
     "ResonancePeak", "ScanConfig", "convergence_check", "fine_tune_resonance",
     "find_resonance_peaks", "power_scan", "spectrum_scan", "wirr_scan",

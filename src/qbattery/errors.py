@@ -15,3 +15,8 @@ class NoTransferError(RuntimeError):
 
 class CutoffWarning(UserWarning):
     """Mode cutoff likely too small for the targeted excitation."""
+
+
+class HorizonWarning(UserWarning):
+    """Stored-work maximum still on the end of the largest time grid
+    searched: the reported t_max is only a lower bound."""

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import fock_dimension, fock_parity
+from .basis import ParitySector, fock_dimension, fock_parity
 from .dynamics import QuenchSimulation, SimulationConfig
 from .errors import ConfigError, NoTransferError
 from .hamiltonian import assemble_battery_only
@@ -450,13 +450,18 @@ def _dense_peak(cfg, omega):
 def _krylov_peak(cfg, t_guide, omega):
     """(W_B, t_max) on the matrix-free pipeline (g_B = 0 only): the maximum
     of W_B(t) over t_guide * [0.96, 1.04], found by golden_section_max
-    (Brent's method) along one ``work_walk``."""
+    (Brent's method) along one ``work_walk``.  The operator acts on the
+    parity sector that holds psi(0): ``cfg.sector``, or for a FULL config
+    the parity of the charger level, the only sector the dynamics reaches."""
     if cfg.g_B != 0:
         raise ConfigError("matrix-free path requires an ideal battery")
+    sector = cfg.sector
+    if sector is ParitySector.FULL:
+        sector = ParitySector((-1) ** cfg.charger_level)
     op = ProductSpaceOperator(
         num_particles=cfg.num_particles, modes_battery=cfg.modes_battery,
         modes_charger=cfg.modes_charger, g_BC=cfg.g_BC,
-        omega_B=cfg.omega_B, omega_C=float(omega))
+        omega_B=cfg.omega_B, omega_C=float(omega), sector=sector)
     t, w = golden_section_max(work_walk(op, cfg.charger_level),
                               0.96 * t_guide, 1.04 * t_guide)
     return w, t
@@ -474,9 +479,10 @@ def convergence_check(config, factor=2, tune=True):
     multiplied by `factor`.  With tune=True each cutoff re-centers omega_C
     on its local transfer peak (three-point parabola through W_peak(omega)),
     so the comparison tracks the physical peak height rather than mixing in
-    the slow cutoff drift of the peak position.  Above DENSE_LIMIT a cutoff
-    runs matrix-free, with t_max searched within 4 % of t_low (or of the
-    two-level speed-limit time).
+    the slow cutoff drift of the peak position.  A cutoff whose battery x
+    charger product dimension exceeds DENSE_LIMIT runs matrix-free on the
+    parity sector of psi(0) (about half that dimension), with t_max
+    searched within 4 % of t_low (or of the two-level speed-limit time).
     """
     high = dataclasses.replace(config,
                                modes_battery=factor * config.modes_battery,

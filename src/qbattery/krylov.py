@@ -1,4 +1,5 @@
-"""Matrix-free evolution on the full battery x charger product space.
+"""Matrix-free evolution on one parity sector of the battery x charger
+product space.
 
 The interaction is applied in its quadrature-factorized form
 
@@ -8,18 +9,27 @@ where R_q = sum_k phi_k(x_q) b_k annihilates a battery particle at the
 Gauss-Hermite node x_q and v_q[j] = chi_j(x_q) samples the charger modes.
 The raising table comes from ``hamiltonian._raising_table`` and the nodes,
 weights and mode values from ``integrals.contact_nodes``, the same factors
-``hamiltonian.py`` multiplies out into the dense sector matrices; here they
-act on the full product space, without the parity restriction.
+``hamiltonian.py`` multiplies out into the dense sector matrices.
+
+The contact coupling conserves total parity, so psi(t) stays in the sector
+of psi(0).  A sector vector is two blocks: even battery states times the
+charger modes of the sector's parity, and odd battery states times the
+others.  The nodes come in pairs +-x_q, and phi_k(-x) = (-1)^k phi_k(x)
+makes every node-sampled array of a sector vector even or odd in x, so
+each node sum runs over x_q >= 0 only, with weight 2 w_q (w_0 for the
+node at x = 0).
 
 Cost model.  H and the initial state are real, so everything runs in
 float64: ``matvec`` takes real rows only.  One application to a k-row
-block is two GEMMs of size (k D_B) x M_C x Q and two row gathers with node
-sums, each over at most N D_B x k Q entries, so O(Q * (D + N * D_B)) per
-row instead of touching an assembled matrix.  The work arrays are kept per
-thread between calls: at D = 62,400 fresh temporaries cost more in page
-faults than the arithmetic.  A real matvec takes about 0.35 ms at
-D = 9,126 (N = 2, M = 26) and 3 to 4 ms at D = 62,400 (N = 3, M = 24)
-with two OpenBLAS threads on a 2-vCPU VM.
+block is, per block and row, two GEMMs of size D_b x M_C/2 x Q/2 (D_b
+battery states in the block), plus two row gathers with node sums over at
+most N D_B x k Q/2 entries: O(Q/2 * (D + N D_B)) per row, with D the
+sector dimension, about D_B M_C / 2, instead of touching an assembled
+matrix.  The work arrays are kept per thread between calls: at large D
+fresh temporaries cost more in page faults than the arithmetic.  With two
+OpenBLAS threads on a 2-vCPU VM a matvec takes about 0.13 ms on one real
+row and 0.3 ms on two at D = 4,563 (N = 2, M = 26), and 1.2 ms and 3 to
+4.5 ms at D = 31,200 (N = 3, M = 24).
 
 One propagator: a one-shot Chebyshev expansion of exp(-iHt) (Tal-Ezer and
 Kosloff, J. Chem. Phys. 81, 3967 (1984)), which needs no basis storage or
@@ -43,7 +53,8 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.special import jv
 
-from .basis import enumerate_fock_states
+from .basis import ParitySector, enumerate_fock_states, fock_parity
+from .dynamics import _ENERGY_RTOL
 from .errors import ConfigError, NumericalBreakdownError
 from .hamiltonian import _raising_table
 from .integrals import contact_nodes
@@ -74,9 +85,16 @@ _BESSEL_TOL = 1e-13
 
 @dataclass
 class ProductSpaceOperator:
-    """H = H_B (x) 1 + 1 (x) H_C + g_BC * factorized contact coupling, acting
-    on vectors shaped (battery_dim * charger_modes,).  Battery is ideal
+    """H = H_B (x) 1 + 1 (x) H_C + g_BC * factorized contact coupling on one
+    parity sector of the battery x charger product space.  Battery is ideal
     (g_B = 0), so both bare pieces are diagonal in the Fock product basis.
+
+    ``sector`` is ODD or EVEN (total parity, as in
+    ``SimulationConfig.sector``).  A vector holds two blocks, each battery
+    major: the even battery states times the charger modes that complete
+    the sector, then the odd battery states times the others; within a
+    block both keep their Fock and mode order.  ``pairs[i]`` is the
+    (battery state index, charger mode) of entry i.
 
     H is real: ``matvec`` applies it to a real vector or to every row of a
     real (k, dim) block, and rejects complex input.
@@ -88,6 +106,7 @@ class ProductSpaceOperator:
     g_BC: float
     omega_B: float = 1.0
     omega_C: float = 1.0
+    sector: ParitySector = ParitySector.ODD
     _local: threading.local = field(default_factory=threading.local,
                                     init=False, repr=False, compare=False)
 
@@ -96,41 +115,76 @@ class ProductSpaceOperator:
             raise ConfigError("need at least one battery particle")
         if self.modes_battery < 2 or self.modes_charger < 2:
             raise ConfigError("need at least two modes per species")
+        if self.sector not in (ParitySector.ODD, ParitySector.EVEN):
+            raise ConfigError("the matrix-free operator acts on the ODD or "
+                              f"EVEN sector, not {self.sector!r}")
         states = enumerate_fock_states(self.num_particles, self.modes_battery)
-        self.battery_states = states
         self.battery_dim = len(states)
         up, amp, lowered = _raising_table(states)
         self.lowered_dim = len(lowered)
 
-        occ = np.array(states, dtype=float)
-        levels = np.arange(self.modes_battery) + 0.5
-        self.battery_diag = self.omega_B * occ @ levels
-        self.work_diag = self.omega_B * occ @ np.arange(self.modes_battery, dtype=float)
-        self.charger_diag = self.omega_C * (np.arange(self.modes_charger) + 0.5)
-        self._diag = self.battery_diag[:, None] + self.charger_diag[None, :]
+        # Battery states in block order: even ones first.  Block b pairs
+        # them with the charger modes whose parity completes the sector.
+        parity = np.array([fock_parity(s) for s in states])
+        block_order = np.argsort(-parity, kind="stable")
+        position = np.empty_like(block_order)
+        position[block_order] = np.arange(block_order.size)
+        num_even = int(np.sum(parity == 1))
+        charger = np.arange(self.modes_charger)
 
-        (self.node_weights, self.battery_modes_at_nodes,
-         self.charger_modes_at_nodes) = contact_nodes(
+        weights, phi, chi = contact_nodes(
             self.modes_battery, self.modes_charger, self.omega_B, self.omega_C)
-        self.num_nodes = self.node_weights.size
+        # The nodes come in exact pairs +-x_q, and phi_k(-x) = (-1)^k phi_k(x)
+        # makes every node-sampled array of a sector vector even or odd in
+        # x, so the node sums run over x_q >= 0 with the pair's weight
+        # doubled; the node at x = 0 (odd rules) has no partner
+        total_nodes = weights.size
+        half = slice(total_nodes // 2, None)
+        node_weights = 2.0 * weights[half]
+        if total_nodes % 2:
+            node_weights[0] = weights[total_nodes // 2]
+        phi = phi[:, half]
+        self.num_nodes = node_weights.size
+
+        self._blocks = []
+        pairs = []
+        entry = 0
+        for lo, hi, battery_parity in ((0, num_even, 1),
+                                       (num_even, self.battery_dim, -1)):
+            modes = charger[(-1) ** charger * battery_parity
+                            == self.sector.value]
+            size = (hi - lo) * modes.size
+            self._blocks.append(SimpleNamespace(
+                states=(lo, hi), entries=slice(entry, entry + size),
+                charger_at_nodes=np.ascontiguousarray(chi[modes][:, half])))
+            pairs.append(np.stack(np.broadcast_arrays(
+                block_order[lo:hi, None], modes[None, :]), -1).reshape(-1, 2))
+            entry += size
+        self.pairs = np.concatenate(pairs)
+
+        occ = np.array(states, dtype=float)
+        levels = np.arange(self.modes_battery, dtype=float)
+        battery, mode = self.pairs.T
+        self._diag = ((self.omega_B * occ @ (levels + 0.5))[battery]
+                      + self.omega_C * (mode + 0.5))
+        self._work = (self.omega_B * occ @ levels)[battery]
 
         # Row (i, l) of the stacked lowering map R_q reads battery state
-        # up[l, i] with factor sqrt(n_i) phi_i(x_q).  R_q^T writes the same
-        # rows back, summed per battery state: slot s of state b holds its
-        # s-th row, or a zero factor once b has no more occupied modes, so
-        # that sum runs over whole slot planes.  g_BC w_q is folded in there.
-        self._source = up.T.ravel()
-        factor = (amp.T[:, :, None]
-                  * self.battery_modes_at_nodes[:, None, :]).reshape(
-                      self._source.size, self.num_nodes)
+        # up[l, i] (in block order) with factor sqrt(n_i) phi_i(x_q).  R_q^T
+        # writes the same rows back, summed per battery state: slot s of
+        # state b holds its s-th row, or a zero factor once b has no more
+        # occupied modes, so that sum runs over whole slot planes.  g_BC w_q
+        # is folded in there.
+        self._source = position[up.T.ravel()]
+        factor = (amp.T[:, :, None] * phi[:, None, :]).reshape(
+            self._source.size, self.num_nodes)
         order = np.argsort(self._source, kind="stable")
         state = self._source[order]
         slot = np.arange(order.size) - np.searchsorted(state, state)
         target = np.zeros((slot.max() + 1, self.battery_dim), dtype=np.intp)
         target[slot, state] = order % self.lowered_dim
         raise_factor = np.zeros(target.shape + (self.num_nodes,))
-        raise_factor[slot, state] = factor[order] * (self.g_BC
-                                                     * self.node_weights)
+        raise_factor[slot, state] = factor[order] * (self.g_BC * node_weights)
         self._lower_factor = factor
         self._target = target.ravel()
         self._raise_factor = raise_factor.reshape(self._target.size, -1)
@@ -138,7 +192,7 @@ class ProductSpaceOperator:
 
     @property
     def dim(self) -> int:
-        return self.battery_dim * self.modes_charger
+        return self.pairs.shape[0]
 
     def _workspace(self, k):
         """Work arrays and node factors for a k-row block, kept per thread
@@ -146,47 +200,53 @@ class ProductSpaceOperator:
         faults than the arithmetic done in them."""
         spaces = self._local.__dict__.setdefault("spaces", {})
         if k not in spaces:
-            nb, mc, nq = self.battery_dim, self.modes_charger, self.num_nodes
+            nb, nq = self.battery_dim, self.num_nodes
             lower = np.tile(self._lower_factor, (1, k))
             raise_ = np.tile(self._raise_factor, (1, k))
             spaces[k] = SimpleNamespace(
-                xt=np.empty((nb, k, mc)), y=np.empty((nb * k, nq)),
-                lowered=np.empty(lower.shape),
+                y=np.empty((nb, k, nq)), lowered=np.empty(lower.shape),
                 lower_factor=lower.reshape(self.modes_battery, -1),
                 u=np.empty((self.lowered_dim, k * nq)),
                 raised=np.empty(raise_.shape),
                 raise_factor=raise_.reshape(self._slots, -1),
-                z=np.empty((nb, k * nq)), back=np.empty((nb * k, mc)))
+                z=np.empty((nb, k, nq)))
         return spaces[k]
 
     def _apply(self, rows: np.ndarray) -> np.ndarray:
         """H applied to every row of a real (k, dim) block.
 
-        The battery index goes outermost, so each contraction stage is one
-        GEMM, gather or node sum over all rows at once: column (r, q) of the
-        node-sampled arrays holds row r at node q.
+        The node-sampled arrays keep the battery index outermost, so each
+        gather or node sum runs over all rows at once: entry (b, r, q) holds
+        row r at node q.  The charger contractions are one GEMM per block
+        and row, reading and writing those strided (b, q) planes in place.
         """
         k = rows.shape[0]
-        nb, mc, nq = self.battery_dim, self.modes_charger, self.num_nodes
-        V = self.charger_modes_at_nodes  # (M_C, Q)
         w = self._workspace(k)
-        X = rows.reshape(k, nb, mc)
-        w.xt[...] = X.transpose(1, 0, 2)
-        np.matmul(w.xt.reshape(nb * k, mc), V, out=w.y)
+        for blk in self._blocks:
+            lo, hi = blk.states
+            for r in range(k):
+                np.matmul(rows[r, blk.entries].reshape(hi - lo, -1),
+                          blk.charger_at_nodes, out=w.y[lo:hi, r])
         # R_q at every node: each (i, l) row reads its source state, and the
         # sum over modes i leaves one row per lowered state l
-        np.take(w.y.reshape(nb, k * nq), self._source, axis=0, out=w.lowered,
-                mode="clip")
+        np.take(w.y.reshape(self.battery_dim, -1), self._source, axis=0,
+                out=w.lowered, mode="clip")
         np.einsum("ij,ij->j", w.lowered.reshape(self.modes_battery, -1),
                   w.lower_factor, out=w.u.reshape(-1))
         # R_q^T back up to the N-particle space, one slot plane at a time
         np.take(w.u, self._target, axis=0, out=w.raised, mode="clip")
         np.einsum("ij,ij->j", w.raised.reshape(self._slots, -1),
                   w.raise_factor, out=w.z.reshape(-1))
-        np.matmul(w.z.reshape(nb * k, nq), V.T, out=w.back)
-        out = X * self._diag
-        out += w.back.reshape(nb, k, mc).transpose(1, 0, 2)
-        return out.reshape(k, self.dim)
+        # C order: each block of an output row is a contiguous view that
+        # matmul writes into
+        out = np.empty(rows.shape)
+        for blk in self._blocks:
+            lo, hi = blk.states
+            for r in range(k):
+                np.matmul(w.z[lo:hi, r], blk.charger_at_nodes.T,
+                          out=out[r, blk.entries].reshape(hi - lo, -1))
+        out += rows * self._diag
+        return out
 
     def matvec(self, psi: np.ndarray) -> np.ndarray:
         psi = np.asarray(psi)
@@ -197,7 +257,7 @@ class ProductSpaceOperator:
                            .reshape(-1, self.dim)).reshape(psi.shape)
 
     def dense(self) -> np.ndarray:
-        """Assemble the full matrix column by column (small dims only)."""
+        """Assemble the sector matrix column by column (small dims only)."""
         if self.dim > 6000:
             raise ConfigError("dense assembly only intended for small test dims")
         cols = np.empty((self.dim, self.dim))
@@ -209,17 +269,22 @@ class ProductSpaceOperator:
         return cols
 
     def initial_state(self, charger_level: int = 1) -> np.ndarray:
-        """Battery ground state (all particles in mode 0) times one charger
-        mode; valid because g_B = 0."""
-        ground = tuple([self.num_particles] + [0] * (self.modes_battery - 1))
-        b0 = self.battery_states.index(ground)
+        """Battery ground state (all particles in mode 0, the first Fock
+        state) times one charger mode; valid because g_B = 0.  Raises
+        ConfigError when that product state lies outside the sector."""
+        entry = np.flatnonzero((self.pairs[:, 0] == 0)
+                               & (self.pairs[:, 1] == charger_level))
+        if entry.size == 0:
+            raise ConfigError(
+                f"charger level {charger_level} puts the initial state "
+                f"outside the {self.sector.name} sector of "
+                f"{self.modes_charger} charger modes")
         psi = np.zeros(self.dim)
-        psi[b0 * self.modes_charger + charger_level] = 1.0
+        psi[entry] = 1.0
         return psi
 
     def stored_work(self, psi: np.ndarray) -> float:
-        X = np.abs(psi.reshape(self.battery_dim, self.modes_charger)) ** 2
-        return float(self.work_diag @ X.sum(axis=1))
+        return float(self._work @ np.abs(psi) ** 2)
 
 
 def spectral_bounds(op: ProductSpaceOperator):
@@ -332,10 +397,14 @@ def work_walk(op: ProductSpaceOperator, charger_level: int):
     Starts from ``op.initial_state(charger_level)`` and computes the
     spectral bounds once.  Each call evolves the state with one
     ``chebyshev_evolve`` from the last time asked for, forward or back,
-    and returns the stored work there.
+    and returns the stored work there.  After each step <psi|H|psi> must
+    stay within _ENERGY_RTOL * max(1, |E0|) of its start value E0, or
+    ``NumericalBreakdownError`` is raised; that costs one 2-row matvec.
     """
     bounds = spectral_bounds(op)
     psi = op.initial_state(charger_level)
+    energy0 = float(psi @ op.matvec(psi))
+    energy_tol = _ENERGY_RTOL * max(1.0, abs(energy0))
     current = 0.0
 
     def work(t):
@@ -343,6 +412,13 @@ def work_walk(op: ProductSpaceOperator, charger_level: int):
         if t != current:
             psi = chebyshev_evolve(op, psi, t - current, bounds)
             current = t
+            rows = np.stack([psi.real, psi.imag])
+            drift = abs(float(np.vdot(rows, op.matvec(rows))) - energy0)
+            # "not <=" so that a nan energy fails too
+            if not drift <= energy_tol:
+                raise NumericalBreakdownError(
+                    f"total energy drifted by {drift:.3e} along the "
+                    "matrix-free walk")
         return op.stored_work(psi)
 
     return work

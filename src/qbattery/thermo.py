@@ -11,11 +11,12 @@ Conventions:
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoTransferError, NumericalBreakdownError
+from .errors import HorizonWarning, NoTransferError, NumericalBreakdownError
 
 _CLIP_FLOOR = -1e-10
 _CLIP_BUDGET = 1e-8
@@ -237,9 +238,11 @@ def find_t_max(work, horizon):
     golden_section_max between its grid neighbours (weak residual
     oscillations make strictly-first local maxima spurious). While the
     maximum sits on the end of the grid the horizon doubles, up to
-    _MAX_EXTENSIONS times. Point k < (_COARSE_POINTS - 1) / 2 of the doubled
-    grid is bit for bit point 2k of the old one, so only the rest is
-    evaluated; the grid stays np.linspace(0, horizon, _COARSE_POINTS).
+    _MAX_EXTENSIONS times; if it is still there, HorizonWarning names the
+    final horizon and the end of the grid is returned as it is. Point
+    k < (_COARSE_POINTS - 1) / 2 of the doubled grid is bit for bit point
+    2k of the old one, so only the rest is evaluated; the grid stays
+    np.linspace(0, horizon, _COARSE_POINTS).
     t_max is resolved to _XTOL, but W_B(t) is so flat at its maximum that
     round-off moves the result by up to about 3e-6.
     """
@@ -258,6 +261,11 @@ def find_t_max(work, horizon):
         values = np.concatenate(
             [values[:-1:2], np.asarray(work(times[half:]), dtype=float)])
     best = int(np.argmax(values))
+    if best >= _COARSE_POINTS - 2:
+        warnings.warn(
+            f"stored-work maximum still on the end of the grid at horizon "
+            f"{horizon:.6g} after {_MAX_EXTENSIONS} doublings; t_max is only "
+            "a lower bound", HorizonWarning, stacklevel=2)
     w_star = values[best]
     if w_star < _MIN_WORK:
         raise NoTransferError(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qbattery import experiments
+from qbattery.basis import ParitySector
 from qbattery.dynamics import QuenchSimulation, SimulationConfig
 from qbattery.errors import ConfigError, NoTransferError
 from qbattery.experiments import (RATIO_CAP, ResonancePeak, ScanConfig,
@@ -229,6 +230,18 @@ def test_convergence_check_matrix_free_branch(monkeypatch):
     dense = QuenchSimulation(high).summarize()
     assert res["t_high"] == pytest.approx(dense.t_max, rel=0, abs=1e-5)
     assert res["W_high"] == pytest.approx(dense.stored_work, rel=0, abs=1e-9)
+
+
+def test_krylov_peak_on_full_config_runs_the_reached_sector():
+    """A FULL config with charger level 2 runs matrix-free in the EVEN
+    sector, the only one psi(0) reaches, and finds the dense peak."""
+    cfg = base_config(num_particles=2, modes_battery=8, modes_charger=8,
+                      omega_C=resonance_solve(3, 2, 0.1), target_n=3,
+                      charger_level=2, sector=ParitySector.FULL)
+    w_dense, t_dense = experiments._dense_peak(cfg, cfg.omega_C)
+    w, t = experiments._krylov_peak(cfg, t_dense, cfg.omega_C)
+    assert t == pytest.approx(t_dense, rel=0, abs=1e-5)
+    assert w == pytest.approx(w_dense, rel=0, abs=1e-9)
 
 
 def test_scan_csv_independent_of_worker_count(tmp_path):

@@ -8,7 +8,8 @@ import pytest
 from qbattery.basis import (ParitySector, Species, SpeciesConfig,
                             build_composite_basis)
 from qbattery.dynamics import QuantumState, QuenchSimulation, SimulationConfig
-from qbattery.errors import NoTransferError, NumericalBreakdownError
+from qbattery.errors import (HorizonWarning, NoTransferError,
+                             NumericalBreakdownError)
 from qbattery.hamiltonian import assemble_battery_only
 from qbattery.thermo import (battery_density_matrix, ergotropy, find_t_max,
                              golden_section_max, irreversible_work,
@@ -163,6 +164,14 @@ def test_find_t_max_extends_horizon():
     # peak at t = 50 pi, initial horizon far too short
     res = find_t_max(lambda ts: np.sin(np.asarray(ts) / 100.0) ** 2, 40.0)
     assert res.t_max == pytest.approx(50.0 * math.pi, rel=1e-4)
+
+
+def test_find_t_max_warns_on_capped_horizon():
+    # peak at t = 500 pi, beyond the 8 * 40 = 320 the doublings reach
+    with pytest.warns(HorizonWarning, match="horizon 320"):
+        res = find_t_max(lambda ts: np.sin(np.asarray(ts) / 1000.0) ** 2,
+                         40.0)
+    assert res.t_max == pytest.approx(320.0, rel=1e-6)
 
 
 def test_find_t_max_doubling_reuses_grid():
