@@ -13,20 +13,31 @@ block psi = re + i im of D sector states by T times costs two real GEMMs,
 
     re = V (cos(E t) c0),    im = -V (sin(E t) c0),
 
-O(D^2 T). Expectations of H0, Hint and the work operator are CSR (or,
-when diagonal, elementwise) products against the block,
-re.A.re + im.A.im, O(nnz T). The reduced battery state needs only its
-spectrum, and the nonzero part of that comes from the Gram matrix of the
-smaller side of the battery x charger amplitude matrix:
-min(D_B, D_C)^3 per time instead of D_B^3. Battery-eigenbasis
-populations are one D_B^2 D_C product per time. Long time grids run in
-chunks of _BLOCK_COLUMNS, so no (D x T) block larger than that is held.
+O(D^2 T). On evenly spaced times the phases come from two exact trig
+tables of _TABLE_STRIDE columns each and one complex product per entry,
+so a block needs 4 _TABLE_STRIDE D trig evaluations instead of 2 D T.
+
+The stored work needs nothing else. W = (H_B - E_0) (x) 1_C is diagonal
+in the battery eigenbasis, so once per simulation the rows of V are turned
+into that basis (one GEMM per battery parity, about (D_B / 2) D^2; none at
+g_B = 0, where the Fock basis already is the eigenbasis), and
+W_B(t) = (eps - eps_0) . (re^2 + im^2) on the turned rows, O(D T).
+
+The full read-out keeps the Fock-basis block. Expectations of H0 and Hint
+are CSR products against it, re.A.re + im.A.im, O(nnz T). The reduced
+battery state needs only its spectrum, and the nonzero part of that comes
+from the Gram matrix of the smaller side of the battery x charger amplitude
+matrix: min(D_B, D_C)^3 per time instead of D_B^3. Battery-eigenbasis
+populations p are one D_B^2 D_C product per time, and W_B = p . (eps -
+eps_0). Long time grids run in chunks of _BLOCK_COLUMNS, so no (D x T)
+block larger than that is held.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import warnings
 from dataclasses import dataclass, asdict
 
@@ -35,15 +46,16 @@ from scipy import sparse
 
 from . import thermo
 from .basis import (ParitySector, Species, SpeciesConfig,
-                    build_composite_basis, DEFAULT_BASIS_CAP)
+                    build_composite_basis, fock_parity, DEFAULT_BASIS_CAP)
 from .errors import ConfigError, CutoffWarning, NumericalBreakdownError
-from .hamiltonian import (assemble_battery_only, build_hamiltonian_set,
-                          embed_battery_operator)
+from .hamiltonian import assemble_battery_only, build_hamiltonian_set
 
 SERIES_SCHEMA = "qbattery.series.v1"
 SERIES_COLUMNS = ("t", "W_B", "ergotropy", "S_B", "E_int", "W_irr", "E_total")
 
 _BLOCK_COLUMNS = 256     # times per read-out block
+_TABLE_STRIDE = 16       # columns of the fine phase table
+_SPACING_ULPS = 4        # evenly spaced: t_j this many ulp from t_0 + j dt
 _IMAG_TOL = 1e-10        # imaginary residue of a real-operator expectation
 _NORM_TOL = 1e-10        # | |psi(t)| - 1 | per column
 _ENERGY_RTOL = 1e-8      # E_total drift, relative to max(1, |E_total(0)|)
@@ -114,12 +126,10 @@ def expectation(operator, state):
 def _expect(op, re, im):
     """<psi|op|psi> for each column of psi = re + i im.
 
-    ``op`` is real symmetric: a sparse matrix, or a 1-D array holding its
-    diagonal. The imaginary part re.op.im - im.op.re is zero in exact
-    arithmetic and must stay below _IMAG_TOL.
+    ``op`` is a real symmetric sparse matrix. The imaginary part
+    re.op.im - im.op.re is zero in exact arithmetic and must stay below
+    _IMAG_TOL.
     """
-    if op.ndim == 1:
-        return op @ (re * re + im * im)
     op_re, op_im = op @ re, op @ im
     residue = (np.einsum("it,it->t", re, op_im)
                - np.einsum("it,it->t", im, op_re))
@@ -132,6 +142,44 @@ def _expect(op, re, im):
 def _chunks(n):
     """Slices of at most _BLOCK_COLUMNS covering range(n)."""
     return [slice(k, k + _BLOCK_COLUMNS) for k in range(0, n, _BLOCK_COLUMNS)]
+
+
+def _evenly_spaced(times):
+    """Whether times[j] = times[0] + j dt to within _SPACING_ULPS ulp."""
+    dt = (times[-1] - times[0]) / (times.size - 1)
+    ideal = times[0] + dt * np.arange(times.size)
+    return bool(np.abs(times - ideal).max()
+                <= _SPACING_ULPS * np.spacing(np.abs(times).max()))
+
+
+def _phases(energies, coeff, times):
+    """Real and imaginary parts of coeff exp(-i E t), one column per time.
+
+    On more than _TABLE_STRIDE evenly spaced times t_j = t_0 + j dt, with
+    j = S a + b and S = _TABLE_STRIDE, each column is the product of two
+    exact trig tables, exp(-i E (t_0 + S a dt)) exp(-i E b dt), which
+    differs from direct trig by the round-off of the argument E t. The
+    product runs time-major, so its inner loops span all D energies. Other
+    times take cos and sin directly.
+    """
+    n = times.size
+    if n <= _TABLE_STRIDE or not _evenly_spaced(times):
+        phase = np.outer(energies, times)
+        return np.cos(phase) * coeff[:, None], np.sin(phase) * -coeff[:, None]
+    dt = (times[-1] - times[0]) / (n - 1)
+    rows = -(-n // _TABLE_STRIDE)
+    coarse = np.outer(times[0] + dt * _TABLE_STRIDE * np.arange(rows),
+                      energies)
+    fine = np.outer(dt * np.arange(_TABLE_STRIDE), energies)
+    a_re = (np.cos(coarse) * coeff)[:, None, :]
+    a_im = (np.sin(coarse) * -coeff)[:, None, :]
+    b_re, b_im = np.cos(fine), np.sin(fine)
+    re = a_re * b_re
+    re += a_im * b_im
+    im = a_im * b_re
+    im -= a_re * b_im
+    dim = energies.size
+    return re.reshape(-1, dim)[:n].T, im.reshape(-1, dim)[:n].T
 
 
 @dataclass
@@ -233,24 +281,47 @@ class QuenchSimulation:
         # H1 and psi(0) are real, so V and c0 are too
         psi0 = self.state0.amplitudes.real[:, None]
         self._coeff0 = self.spectral.vectors.T @ psi0[:, 0]
-        self._h0_csr = sparse.csr_matrix(self.h0)
-        self._hint_csr = sparse.csr_matrix(self.hint)
+        self.h0_csr = sparse.csr_matrix(self.h0)
+        self.hint_csr = sparse.csr_matrix(self.hint)
         zero = np.zeros_like(psi0)
-        self._h0_initial = float(_expect(self._h0_csr, psi0, zero)[0])
+        self._h0_initial = float(_expect(self.h0_csr, psi0, zero)[0])
         self._energy0 = self._h0_initial + float(
-            _expect(self._hint_csr, psi0, zero)[0])
-        self._work_op = self._work_operator()
+            _expect(self.hint_csr, psi0, zero)[0])
 
-    def _work_operator(self):
-        """Battery energy above its ground state, embedded in the sector.
+    @functools.cached_property
+    def _work_rows(self):
+        """(rows, gaps): V with its battery factor turned into the battery
+        eigenbasis, and eps_k - eps_0 for each row, the diagonal of
+        W = (H_B - E_0) (x) 1_C there.
 
-        Diagonal whenever g_B = 0; otherwise held as CSR.
+        Sector row (b, c) of battery parity p becomes row (k, c) for the
+        battery eigenvectors k of parity p: one GEMM per parity with that
+        block of V_B. At g_B = 0 the Fock basis is the eigenbasis and V is
+        used as it is. Built on the first work_series call, from V as it
+        stands then.
         """
         bat, basis = self.battery_h, self.basis
-        shifted = bat.matrix - bat.ground_energy * np.eye(bat.dim)
+        vectors = self.spectral.vectors
         if self.config.g_B == 0.0:
-            return np.diag(shifted)[basis.battery_index]
-        return embed_battery_operator(basis, shifted)
+            gaps = np.diag(bat.matrix) - bat.ground_energy
+            return vectors, gaps[basis.battery_index]
+        state_parity = np.array([fock_parity(s) for s in bat.states])
+        rows = np.empty_like(vectors)
+        gaps = np.empty(basis.size)
+        start = 0
+        for sign in (1, -1):
+            states = np.flatnonzero(state_parity == sign)
+            levels = np.flatnonzero(bat.parities == sign)
+            modes = np.flatnonzero(basis.index_matrix[states[0]] >= 0)
+            kept = slice(start, start + states.size * modes.size)
+            fock = vectors[basis.index_matrix[np.ix_(states, modes)].ravel()]
+            np.matmul(bat.eigenvectors[np.ix_(states, levels)].T,
+                      fock.reshape(states.size, -1),
+                      out=rows[kept].reshape(states.size, -1))
+            gaps[kept] = np.repeat(bat.eigenvalues[levels] - bat.ground_energy,
+                                   modes.size)
+            start = kept.stop
+        return rows, gaps
 
     @property
     def charger_quantum(self):
@@ -258,13 +329,12 @@ class QuenchSimulation:
         level = self.config.charger_level
         return level * self.config.omega_C
 
-    def _block(self, times):
-        """psi(t) = re + i im, one real column pair per time."""
-        phase = np.outer(self.spectral.energies, times)
-        c0 = self._coeff0[:, None]
-        vectors = self.spectral.vectors
-        re = vectors @ (np.cos(phase) * c0)
-        im = vectors @ (np.sin(phase) * -c0)
+    def _block(self, vectors, times):
+        """psi(t) = re + i im on the rows of ``vectors`` (V, or V turned
+        into the battery eigenbasis), one real column pair per time."""
+        phase_re, phase_im = _phases(self.spectral.energies, self._coeff0,
+                                     times)
+        re, im = vectors @ phase_re, vectors @ phase_im
         norm = np.einsum("it,it->t", re, re) + np.einsum("it,it->t", im, im)
         drift = float(np.abs(norm - 1.0).max(initial=0.0))
         if drift > _NORM_TOL:
@@ -273,20 +343,24 @@ class QuenchSimulation:
         return re, im
 
     def state_at(self, t):
-        re, im = self._block([t])
+        re, im = self._block(self.spectral.vectors, np.array([float(t)]))
         return QuantumState(amplitudes=re[:, 0] + 1j * im[:, 0], time=t)
 
     def states_at(self, times):
         """Batched reconstruction, one column per time."""
-        re, im = self._block(np.asarray(times, dtype=float))
+        re, im = self._block(self.spectral.vectors,
+                             np.asarray(times, dtype=float))
         return re + 1j * im
 
     def work_series(self, times):
-        """Stored work W_B on a time grid (vectorized)."""
+        """Stored work W_B on a time grid (vectorized): the diagonal of W
+        against |psi|^2 on the battery-eigenbasis rows."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
+        rows, gaps = self._work_rows
         out = np.empty(times.size)
         for part in _chunks(times.size):
-            out[part] = _expect(self._work_op, *self._block(times[part]))
+            re, im = self._block(rows, times[part])
+            out[part] = gaps @ (re * re + im * im)
         return out
 
     def qsl_estimate(self):
@@ -312,11 +386,12 @@ class QuenchSimulation:
         out = {name: np.empty(times.size) for name in SERIES_COLUMNS[1:]}
         bat = self.battery_h
         vbt = bat.eigenvectors.T
+        gaps = bat.eigenvalues - bat.ground_energy
         tol = _ENERGY_RTOL * max(1.0, abs(self._energy0))
         for part in _chunks(times.size):
-            re, im = self._block(times[part])
-            h0_now = _expect(self._h0_csr, re, im)
-            e_int = _expect(self._hint_csr, re, im)
+            re, im = self._block(self.spectral.vectors, times[part])
+            h0_now = _expect(self.h0_csr, re, im)
+            e_int = _expect(self.hint_csr, re, im)
             e_total = h0_now + e_int
             drift = float(np.abs(e_total - self._energy0).max())
             if drift > tol:
@@ -326,7 +401,7 @@ class QuenchSimulation:
             # populations p_i = sum_c |(V_B^T X)_ic|^2 in the battery eigenbasis
             pops = ((vbt @ x_re) ** 2 + (vbt @ x_im) ** 2).sum(axis=2)
             spectra = thermo.battery_spectra(x_re, x_im)
-            out["W_B"][part] = _expect(self._work_op, re, im)
+            out["W_B"][part] = pops @ gaps
             out["ergotropy"][part] = (pops - spectra) @ bat.eigenvalues
             out["S_B"][part] = [thermo.von_neumann_entropy(lam)
                                 for lam in spectra]

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import ParitySector, fock_dimension, fock_parity
+from .basis import ParitySector, fock_dimension
 from .dynamics import QuenchSimulation, SimulationConfig
 from .errors import ConfigError, NoTransferError
 from .hamiltonian import assemble_battery_only
@@ -221,13 +221,9 @@ def degeneracy_seeds(window, config):
         raise ConfigError("window must satisfy 0 < lo < hi")
     battery = assemble_battery_only(config.num_particles, config.modes_battery,
                                     config.g_B, config.omega_B)
-    state_parity = np.array([fock_parity(s) for s in battery.states])
-    # parity is a good quantum number, so each eigenvector's sign can be read
-    # off its dominant component
-    vec_parity = np.array([state_parity[np.argmax(np.abs(v))]
-                           for v in battery.eigenvectors.T])
     gaps = battery.eigenvalues - battery.eigenvalues[0]
-    mask = (gaps >= lo) & (gaps <= hi) & (vec_parity != vec_parity[0])
+    mask = ((gaps >= lo) & (gaps <= hi)
+            & (battery.parities != battery.parities[0]))
     seeds = []
     for gap in sorted(float(g) for g in gaps[mask]):
         if not seeds or gap - seeds[-1] > 1e-6:
@@ -239,14 +235,17 @@ def find_resonance_peaks(window, config, xtol=1e-5, seed_radius=0.08,
                          min_ratio=0.5):
     """All transfer-ratio peaks in an omega_C window.
 
-    Around every decoupled-degeneracy seed (plus the closed-form root for an
-    ideal battery) a local grid of _SEED_POINTS brackets the maxima and
-    golden_section_max (Brent's method) refines every interior local
-    maximum of that grid between its grid neighbours, each step a full
-    simulation.  A grid edge is never a candidate, and a refinement that
-    ends within xtol of its bracket edge is dropped: both are flanks of a
-    resonance centred elsewhere.  Peaks below min_ratio are dropped;
-    overlapping refinements are deduplicated to the higher ratio.
+    Every decoupled-degeneracy seed (plus the closed-form root for an ideal
+    battery) brackets [seed - seed_radius, seed + seed_radius]. Overlapping
+    brackets merge, and each connected interval gets one grid no coarser
+    than 2 seed_radius / (_SEED_POINTS - 1), so a resonance seen by two
+    seeds is gridded and refined once. golden_section_max (Brent's method)
+    refines every interior local maximum of a grid between its grid
+    neighbours, each step a full simulation. A grid edge is never a
+    candidate, and a refinement that ends within xtol of its bracket edge
+    is dropped: both are flanks of a resonance centred elsewhere. Peaks
+    below min_ratio are dropped, and peaks closer than 1e-3 are
+    deduplicated to the higher ratio.
     """
     lo, hi = window
     if not (0 < lo < hi):
@@ -275,12 +274,21 @@ def find_resonance_peaks(window, config, xtol=1e-5, seed_radius=0.08,
             if lo <= root <= hi:
                 seeds.append(root)
 
-    peaks = []
-    for seed in seeds:
+    intervals = []
+    for seed in sorted(seeds):
         a, b = max(lo, seed - seed_radius), min(hi, seed + seed_radius)
+        if intervals and a <= intervals[-1][1]:
+            intervals[-1][1] = max(intervals[-1][1], b)
+        else:
+            intervals.append([a, b])
+
+    step = 2 * seed_radius / (_SEED_POINTS - 1)
+    peaks = []
+    for a, b in intervals:
         if b - a < 4 * xtol:
             continue
-        grid = np.linspace(a, b, _SEED_POINTS)
+        # the slack keeps a single unclipped bracket at _SEED_POINTS points
+        grid = np.linspace(a, b, int(np.ceil((b - a) / step - 1e-9)) + 1)
         vals = [evaluate(w)[0] for w in grid]
         for i in range(1, len(grid) - 1):
             if not vals[i - 1] < vals[i] >= vals[i + 1]:
@@ -354,7 +362,7 @@ def power_scan(scan: ScanConfig):
             "omega_C": omega,
             "power_ED": s.power,
             "power_TLM": tlm.power_tlm(params),
-            "tau_qsl_num": qsl_numeric(sim.state0, sim.h0 + sim.hint),
+            "tau_qsl_num": qsl_numeric(sim.state0, sim.h0_csr + sim.hint_csr),
             "tau_qsl_tlm": tlm.qsl_tlm(params),
             "W_B": s.stored_work,
             "t_max": s.t_max,

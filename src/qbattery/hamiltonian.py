@@ -103,7 +103,11 @@ def _battery_matrix(states, g_B, omega_B):
 
 @dataclass
 class BatteryHamiltonian:
-    """Battery-only Hamiltonian with its spectral decomposition."""
+    """Battery-only Hamiltonian with its spectral decomposition.
+
+    Every eigenvector lies in one parity block of the Fock basis;
+    ``parities[k]`` is the parity of eigenvector k.
+    """
 
     num_particles: int
     num_modes: int
@@ -113,6 +117,7 @@ class BatteryHamiltonian:
     matrix: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    parities: np.ndarray
 
     @property
     def dim(self):
@@ -130,6 +135,9 @@ class BatteryHamiltonian:
 def assemble_battery_only(num_particles, num_modes, g_B, omega_B):
     """Battery Hamiltonian on its own Fock basis, eigendecomposed.
 
+    The interaction conserves parity, so each parity block is diagonalized
+    on its own and every eigenvector has a definite parity, also within a
+    degenerate pair of opposite parities. Eigenvalues come out ascending.
     With g_B = 0 the matrix is diagonal and the decomposition is a sorted
     permutation; no dense solve is run in that case.
     """
@@ -139,17 +147,27 @@ def assemble_battery_only(num_particles, num_modes, g_B, omega_B):
         raise ConfigError("omega_B must be positive")
     states = enumerate_fock_states(num_particles, num_modes)
     h = _battery_matrix(states, g_B, omega_B)
-    if g_B != 0.0:
-        eigenvalues, eigenvectors = np.linalg.eigh(h)
+    state_parity = np.array([fock_parity(s) for s in states])
+    if g_B == 0.0:
+        eigenvalues, eigenvectors = np.diag(h), np.eye(len(states))
+        parities = state_parity
     else:
-        diag = np.diag(h)
-        order = np.argsort(diag, kind="stable")
-        eigenvalues = diag[order]
-        eigenvectors = np.eye(len(states))[:, order]
+        eigenvalues = np.empty(len(states))
+        eigenvectors = np.zeros((len(states), len(states)))
+        parities = np.empty(len(states), dtype=state_parity.dtype)
+        start = 0
+        for sign in (1, -1):
+            block = np.flatnonzero(state_parity == sign)
+            levels = slice(start, start + block.size)
+            eigenvalues[levels], eigenvectors[block, levels] = \
+                np.linalg.eigh(h[np.ix_(block, block)])
+            parities[levels] = sign
+            start += block.size
+    order = np.argsort(eigenvalues, kind="stable")
     return BatteryHamiltonian(
         num_particles=num_particles, num_modes=num_modes, g=g_B, omega=omega_B,
-        states=tuple(states), matrix=h,
-        eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+        states=tuple(states), matrix=h, eigenvalues=eigenvalues[order],
+        eigenvectors=eigenvectors[:, order], parities=parities[order])
 
 
 def embed_battery_operator(basis, op):

@@ -11,6 +11,7 @@ from qbattery.basis import ParitySector
 from qbattery.dynamics import (QuenchSimulation, SimulationConfig,
                                time_series)
 from qbattery.errors import ConfigError, CutoffWarning, NumericalBreakdownError
+from qbattery.hamiltonian import embed_battery_operator
 from qbattery.tlm import resonance_solve, tlm_params, wb_tlm
 
 
@@ -245,3 +246,68 @@ def test_energy_drift_raises():
     sim.spectral.vectors[:, [-1, k]] = sim.spectral.vectors[:, [k, -1]]
     with pytest.raises(NumericalBreakdownError, match="total energy"):
         sim.series(np.linspace(0.0, 5.0, 3))
+
+
+def dense_work(sim, times):
+    """<psi(t)|(H_B - E_0) (x) 1_C|psi(t)> from the dense embedded operator
+    and the complex eigen-expansion, all times at once."""
+    bat = sim.battery_h
+    work = embed_battery_operator(
+        sim.basis, bat.matrix - bat.ground_energy * np.eye(bat.dim)).toarray()
+    vectors = sim.spectral.vectors
+    coeff0 = vectors.T @ sim.state0.amplitudes.real
+    psi = vectors @ (np.exp(-1j * np.outer(sim.spectral.energies, times))
+                     * coeff0[:, None])
+    return np.einsum("it,it->t", psi.conj(), work @ psi).real
+
+
+# 600 evenly spaced times run as three blocks on the phase tables; the
+# irregular ones take direct trig
+@pytest.mark.parametrize("g_B, sector", [
+    (0.0, ParitySector.ODD), (0.5, ParitySector.ODD),
+    (-0.5, ParitySector.ODD), (3.0, ParitySector.ODD),
+    (0.5, ParitySector.FULL)])
+def test_work_series_matches_dense_work_operator(g_B, sector):
+    sim = QuenchSimulation(small_config(num_particles=2, g_B=g_B,
+                                        omega_C=1.04, sector=sector))
+    even = np.linspace(0.0, 400.0, 600)
+    irregular = np.sort(np.random.default_rng(7).uniform(0.0, 400.0, 40))
+    for times in (even, irregular):
+        want = dense_work(sim, times)
+        np.testing.assert_allclose(sim.work_series(times), want,
+                                   rtol=0, atol=1e-11)
+    assert np.ptp(want) > 1e-3
+
+
+def test_series_work_column_matches_work_series():
+    sim = QuenchSimulation(small_config(num_particles=2, g_B=-0.5,
+                                        omega_C=1.04))
+    times = np.linspace(0.0, 300.0, 300)
+    np.testing.assert_allclose(sim.series(times).stored_work,
+                               sim.work_series(times), rtol=0, atol=1e-11)
+
+
+def test_phase_tables_match_direct_trig():
+    rng = np.random.default_rng(11)
+    energies = np.sort(rng.uniform(-5.0, 5.0, 40))
+    coeff = rng.normal(size=40)
+
+    def direct(times):
+        phase = np.outer(energies, times)
+        return np.cos(phase) * coeff[:, None], -np.sin(phase) * coeff[:, None]
+
+    # the upper half of a find_t_max grid; at |E t| up to 2e4 the argument
+    # round-off of direct trig alone is about 2e-12
+    grid = np.linspace(0.0, 4000.0, 1201)[600:]
+    assert dynamics._evenly_spaced(grid)
+    for times in (grid, np.linspace(3.0, 7.0, 17), grid[::-1]):
+        for got, want in zip(dynamics._phases(energies, coeff, times),
+                             direct(times)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
+    # irregular or short grids take cos and sin as they are
+    irregular = np.sort(rng.uniform(0.0, 100.0, 50))
+    assert not dynamics._evenly_spaced(irregular)
+    for times in (irregular, np.linspace(0.0, 5.0, 16)):
+        for got, want in zip(dynamics._phases(energies, coeff, times),
+                             direct(times)):
+            np.testing.assert_array_equal(got, want)

@@ -17,6 +17,7 @@ from qbattery.experiments import (RATIO_CAP, ResonancePeak, ScanConfig,
                                   fine_tune_resonance, power_scan,
                                   spectrum_scan, wirr_scan, write_csv,
                                   write_manifest)
+from qbattery.thermo import golden_section_max
 from qbattery.tlm import resonance_solve
 
 
@@ -170,6 +171,40 @@ def test_find_resonance_peaks_skips_bracket_edge_flanks():
     assert any(abs(p.omega_C - 2.9015) < 1e-3 and p.ratio > 0.99
                for p in peaks), located
     assert any(abs(p.omega_C - 3.078) < 1e-3 for p in peaks), located
+
+
+def test_overlapping_seed_brackets_share_one_grid(monkeypatch):
+    # the free-battery gap 1.0 and the two-level root 1.0195 bracket the
+    # same resonance; their brackets merge into one grid refined once
+    cfg = base_config(num_particles=2)
+    window, radius = (0.8, 1.2), 0.08
+    seeds = sorted(degeneracy_seeds(window, cfg)
+                   + [resonance_solve(1, 2, 0.1)])
+    assert len(seeds) == 2 and seeds[1] - seeds[0] < 2 * radius
+    built, refined = [], []
+
+    class CountingSimulation(QuenchSimulation):
+        def __init__(self, config):
+            built.append(config.omega_C)
+            super().__init__(config)
+
+    def counting_max(f, a, b, **kw):
+        refined.append((a, b))
+        return golden_section_max(f, a, b, **kw)
+
+    monkeypatch.setattr(experiments, "QuenchSimulation", CountingSimulation)
+    monkeypatch.setattr(experiments, "golden_section_max", counting_max)
+    peaks = find_resonance_peaks(window, cfg, seed_radius=radius)
+    a, b = seeds[0] - radius, seeds[1] + radius
+    spacing = 2 * radius / (experiments._SEED_POINTS - 1)
+    points = int(np.ceil((b - a) / spacing)) + 1
+    assert points < 2 * experiments._SEED_POINTS
+    np.testing.assert_allclose(built[:points], np.linspace(a, b, points),
+                               rtol=0, atol=1e-12)
+    assert len(built) == len(set(built))
+    assert len(refined) == 1
+    assert all(refined[0][0] <= w <= refined[0][1] for w in built[points:])
+    assert len(peaks) == 1 and peaks[0].ratio > 0.95
 
 
 def test_power_scan_matches_two_level_power(tmp_path):

@@ -144,6 +144,23 @@ def test_battery_hamiltonian_is_hermitian_and_parity_block():
     assert np.abs(cross).max() == 0.0
 
 
+@pytest.mark.parametrize("num_particles, g", [(2, 3.0), (3, -0.5), (3, 0.0)])
+def test_battery_eigenvectors_have_definite_parity(num_particles, g):
+    bat = assemble_battery_only(num_particles, 6, g, 1.0)
+    par = np.array([fock_parity(s) for s in bat.states])
+    # zero outside their own parity block, not merely small
+    assert not np.any(bat.eigenvectors[par[:, None] != bat.parities[None, :]])
+    assert np.all(np.diff(bat.eigenvalues) >= 0.0)
+    np.testing.assert_allclose(bat.matrix @ bat.eigenvectors,
+                               bat.eigenvectors * bat.eigenvalues,
+                               rtol=0, atol=1e-12)
+    for sign in (1, -1):
+        block = bat.matrix[np.ix_(par == sign, par == sign)]
+        np.testing.assert_allclose(bat.eigenvalues[bat.parities == sign],
+                                   np.linalg.eigvalsh(block),
+                                   rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("case", [
     "battery-N3", "hint-N2-ODD", "hint-N2-FULL", "hint-N3-ODD", "hint-N3-FULL",
 ])
