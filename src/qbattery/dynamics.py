@@ -306,7 +306,7 @@ class QuenchSimulation:
             gaps = np.diag(bat.matrix) - bat.ground_energy
             return vectors, gaps[basis.battery_index]
         state_parity = np.array([fock_parity(s) for s in bat.states])
-        rows = np.empty_like(vectors)
+        rows = np.empty(vectors.shape)   # C order: out= below must be a view
         gaps = np.empty(basis.size)
         start = 0
         for sign in (1, -1):

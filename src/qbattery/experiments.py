@@ -237,11 +237,12 @@ def find_resonance_peaks(window, config, xtol=1e-5, seed_radius=0.08,
 
     Every decoupled-degeneracy seed (plus the closed-form root for an ideal
     battery) brackets [seed - seed_radius, seed + seed_radius]. Overlapping
-    brackets merge, and each connected interval gets one grid no coarser
-    than 2 seed_radius / (_SEED_POINTS - 1), so a resonance seen by two
-    seeds is gridded and refined once. golden_section_max (Brent's method)
-    refines every interior local maximum of a grid between its grid
-    neighbours, each step a full simulation. A grid edge is never a
+    brackets merge, and each connected interval gets one grid of at least
+    _SEED_POINTS points and no coarser than 2 seed_radius /
+    (_SEED_POINTS - 1), so a resonance seen by two seeds is gridded and
+    refined once. golden_section_max (Brent's method) refines every
+    interior local maximum of a grid between its grid neighbours, each
+    step a full simulation. A grid edge is never a
     candidate, and a refinement that ends within xtol of its bracket edge
     is dropped: both are flanks of a resonance centred elsewhere. Peaks
     below min_ratio are dropped, and peaks closer than 1e-3 are
@@ -287,8 +288,10 @@ def find_resonance_peaks(window, config, xtol=1e-5, seed_radius=0.08,
     for a, b in intervals:
         if b - a < 4 * xtol:
             continue
-        # the slack keeps a single unclipped bracket at _SEED_POINTS points
-        grid = np.linspace(a, b, int(np.ceil((b - a) / step - 1e-9)) + 1)
+        # a lone bracket, clipped or not, keeps _SEED_POINTS points; the
+        # slack keeps rounding from adding one to an unclipped bracket
+        points = max(_SEED_POINTS, int(np.ceil((b - a) / step - 1e-9)) + 1)
+        grid = np.linspace(a, b, points)
         vals = [evaluate(w)[0] for w in grid]
         for i in range(1, len(grid) - 1):
             if not vals[i - 1] < vals[i] >= vals[i + 1]:

@@ -173,6 +173,30 @@ def test_find_resonance_peaks_skips_bracket_edge_flanks():
     assert any(abs(p.omega_C - 3.078) < 1e-3 for p in peaks), located
 
 
+def test_narrow_window_keeps_seed_grid(monkeypatch):
+    # a window narrower than one merged-grid step clips the bracket of the
+    # 3.078 seed of the flank test to the window; that bracket still gets
+    # _SEED_POINTS points, and the weak peak at the seed is found in it
+    cfg = base_config(num_particles=2, g_B=3.0, modes_battery=6,
+                      modes_charger=6, target_n=3)
+    window = (3.073, 3.083)
+    assert window[1] - window[0] < 2 * 0.08 / (experiments._SEED_POINTS - 1)
+    built = []
+
+    class CountingSimulation(QuenchSimulation):
+        def __init__(self, config):
+            built.append(config.omega_C)
+            super().__init__(config)
+
+    monkeypatch.setattr(experiments, "QuenchSimulation", CountingSimulation)
+    peaks = find_resonance_peaks(window, cfg, min_ratio=0.05)
+    np.testing.assert_allclose(
+        built[:experiments._SEED_POINTS],
+        np.linspace(*window, experiments._SEED_POINTS), rtol=0, atol=1e-12)
+    assert len(peaks) == 1, peaks
+    assert abs(peaks[0].omega_C - 3.078) < 1e-3 and peaks[0].ratio > 0.05
+
+
 def test_overlapping_seed_brackets_share_one_grid(monkeypatch):
     # the free-battery gap 1.0 and the two-level root 1.0195 bracket the
     # same resonance; their brackets merge into one grid refined once
