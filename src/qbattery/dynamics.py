@@ -7,6 +7,14 @@ reconstructed at arbitrary times from
 
 so there is no time-step error to control.
 
+Memory: a build holds one dense D x D matrix. H1 is assembled into a
+single buffer, and LAPACK's dsyevd overwrites that buffer with the
+eigenvectors V (``lapack.eigh_in_place``); its workspace, about 2 D^2
+doubles, lives only during the solve. H0 and Hint are kept as CSR. Before
+the buffer is allocated, the bytes of buffer and workspace are checked
+against physical memory. At g_B != 0 the first work_series call adds V
+turned into the battery eigenbasis, a second D x D array.
+
 Read-out works on a block of times at once. H1 and psi(0) are real, so
 the eigenvectors V and the coefficients c0 = V^T psi(0) are real, and the
 block psi = re + i im of D sector states by T times costs two real GEMMs,
@@ -42,13 +50,11 @@ import warnings
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy import sparse
 
-from . import thermo
-from .basis import (ParitySector, Species, SpeciesConfig,
-                    build_composite_basis, fock_parity, DEFAULT_BASIS_CAP)
+from . import lapack, thermo
+from .basis import DEFAULT_BASIS_CAP, ParitySector, Species, SpeciesConfig
 from .errors import ConfigError, CutoffWarning, NumericalBreakdownError
-from .hamiltonian import assemble_battery_only, build_hamiltonian_set
+from .hamiltonian import cutoff_model, quench_hamiltonians
 
 SERIES_SCHEMA = "qbattery.series.v1"
 SERIES_COLUMNS = ("t", "W_B", "ergotropy", "S_B", "E_int", "W_irr", "E_total")
@@ -73,8 +79,10 @@ class SpectralDecomposition:
 
     @classmethod
     def from_matrix(cls, h):
-        energies, vectors = np.linalg.eigh(h)
-        return cls(energies=energies, vectors=vectors)
+        """Eigenpairs of the symmetric C-order float64 array ``h``, solved
+        in place: ``h`` becomes the eigenvector matrix."""
+        energies = lapack.eigh_in_place(h)
+        return cls(energies=energies, vectors=h)
 
     @property
     def dim(self):
@@ -249,6 +257,11 @@ class SimulationConfig:
         return SpeciesConfig(Species.CHARGER, self.omega_C,
                              self.modes_charger, 1)
 
+    def cutoff_model(self):
+        """The cached hamiltonian.CutoffModel this config builds on."""
+        return cutoff_model(self.battery_config(), self.charger_config(),
+                            self.g_B, self.sector, self.basis_cap)
+
     def as_dict(self):
         d = asdict(self)
         d["sector"] = self.sector.name
@@ -259,34 +272,30 @@ class QuenchSimulation:
     """One assembled configuration: basis, Hamiltonians, spectral data.
 
     Bundles the repeated work (enumeration, assembly, diagonalization) so
-    observable evaluations at many times stay cheap.
+    observable evaluations at many times stay cheap. The basis and the
+    battery come from the config's cached cutoff model; ``h0`` and
+    ``hint`` are CSR.
     """
 
     def __init__(self, config):
         self.config = config
-        self.basis = build_composite_basis(
-            config.battery_config(), config.charger_config(),
-            sector=config.sector, cap=config.basis_cap)
-        self.battery_h = assemble_battery_only(
-            config.num_particles, config.modes_battery,
-            config.g_B, config.omega_B)
-        hams = build_hamiltonian_set(
-            self.basis, config.g_B, config.g_BC,
-            omega_B=config.omega_B, omega_C=config.omega_C)
-        self.h0 = hams.h0
-        self.hint = hams.hint
-        self.spectral = SpectralDecomposition.from_matrix(hams.h1)
+        model = config.cutoff_model()
+        self.basis = dataclasses.replace(model.basis,
+                                         charger=config.charger_config())
+        self.battery_h = model.battery
+        lapack.check_memory(self.basis.size)
+        h1, self.h0, self.hint = quench_hamiltonians(
+            self.basis, model.battery_csr, config.g_BC)
+        self.spectral = SpectralDecomposition.from_matrix(h1)
         self.state0 = initial_state(self.basis, self.battery_h,
                                     charger_level=config.charger_level)
         # H1 and psi(0) are real, so V and c0 are too
         psi0 = self.state0.amplitudes.real[:, None]
         self._coeff0 = self.spectral.vectors.T @ psi0[:, 0]
-        self.h0_csr = sparse.csr_matrix(self.h0)
-        self.hint_csr = sparse.csr_matrix(self.hint)
         zero = np.zeros_like(psi0)
-        self._h0_initial = float(_expect(self.h0_csr, psi0, zero)[0])
+        self._h0_initial = float(_expect(self.h0, psi0, zero)[0])
         self._energy0 = self._h0_initial + float(
-            _expect(self.hint_csr, psi0, zero)[0])
+            _expect(self.hint, psi0, zero)[0])
 
     @functools.cached_property
     def _work_rows(self):
@@ -305,12 +314,11 @@ class QuenchSimulation:
         if self.config.g_B == 0.0:
             gaps = np.diag(bat.matrix) - bat.ground_energy
             return vectors, gaps[basis.battery_index]
-        state_parity = np.array([fock_parity(s) for s in bat.states])
         rows = np.empty(vectors.shape)   # C order: out= below must be a view
         gaps = np.empty(basis.size)
         start = 0
         for sign in (1, -1):
-            states = np.flatnonzero(state_parity == sign)
+            states = np.flatnonzero(bat.state_parities == sign)
             levels = np.flatnonzero(bat.parities == sign)
             modes = np.flatnonzero(basis.index_matrix[states[0]] >= 0)
             kept = slice(start, start + states.size * modes.size)
@@ -390,8 +398,8 @@ class QuenchSimulation:
         tol = _ENERGY_RTOL * max(1.0, abs(self._energy0))
         for part in _chunks(times.size):
             re, im = self._block(self.spectral.vectors, times[part])
-            h0_now = _expect(self.h0_csr, re, im)
-            e_int = _expect(self.hint_csr, re, im)
+            h0_now = _expect(self.h0, re, im)
+            e_int = _expect(self.hint, re, im)
             e_total = h0_now + e_int
             drift = float(np.abs(e_total - self._energy0).max())
             if drift > tol:

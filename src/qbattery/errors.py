@@ -18,5 +18,6 @@ class CutoffWarning(UserWarning):
 
 
 class HorizonWarning(UserWarning):
-    """Stored-work maximum still on the end of the largest time grid
-    searched: the reported t_max is only a lower bound."""
+    """Stored-work maximum on the end of the time range searched (the
+    largest grid of find_t_max, or the bracket of a matrix-free peak): the
+    true maximum may lie beyond it."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,10 +22,9 @@ import numpy as np
 
 from .basis import ParitySector, fock_dimension
 from .dynamics import QuenchSimulation, SimulationConfig
-from .errors import ConfigError, NoTransferError
-from .hamiltonian import assemble_battery_only
+from .errors import ConfigError, HorizonWarning, NoTransferError
 from .krylov import ProductSpaceOperator, work_walk
-from .thermo import golden_section_max, qsl_numeric
+from .thermo import _XTOL, golden_section_max, qsl_numeric
 from . import tlm
 
 __all__ = [
@@ -219,8 +219,7 @@ def degeneracy_seeds(window, config):
     lo, hi = window
     if not (0 < lo < hi):
         raise ConfigError("window must satisfy 0 < lo < hi")
-    battery = assemble_battery_only(config.num_particles, config.modes_battery,
-                                    config.g_B, config.omega_B)
+    battery = config.cutoff_model().battery
     gaps = battery.eigenvalues - battery.eigenvalues[0]
     mask = ((gaps >= lo) & (gaps <= hi)
             & (battery.parities != battery.parities[0]))
@@ -365,7 +364,7 @@ def power_scan(scan: ScanConfig):
             "omega_C": omega,
             "power_ED": s.power,
             "power_TLM": tlm.power_tlm(params),
-            "tau_qsl_num": qsl_numeric(sim.state0, sim.h0_csr + sim.hint_csr),
+            "tau_qsl_num": qsl_numeric(sim.state0, sim.h0 + sim.hint),
             "tau_qsl_tlm": tlm.qsl_tlm(params),
             "W_B": s.stored_work,
             "t_max": s.t_max,
@@ -463,7 +462,9 @@ def _krylov_peak(cfg, t_guide, omega):
     of W_B(t) over t_guide * [0.96, 1.04], found by golden_section_max
     (Brent's method) along one ``work_walk``.  The operator acts on the
     parity sector that holds psi(0): ``cfg.sector``, or for a FULL config
-    the parity of the charger level, the only sector the dynamics reaches."""
+    the parity of the charger level, the only sector the dynamics reaches.
+    A maximum within golden_section_max's xtol of either end of that bracket
+    may lie outside it, and HorizonWarning says so."""
     if cfg.g_B != 0:
         raise ConfigError("matrix-free path requires an ideal battery")
     sector = cfg.sector
@@ -473,8 +474,13 @@ def _krylov_peak(cfg, t_guide, omega):
         num_particles=cfg.num_particles, modes_battery=cfg.modes_battery,
         modes_charger=cfg.modes_charger, g_BC=cfg.g_BC,
         omega_B=cfg.omega_B, omega_C=float(omega), sector=sector)
-    t, w = golden_section_max(work_walk(op, cfg.charger_level),
-                              0.96 * t_guide, 1.04 * t_guide)
+    lo, hi = 0.96 * t_guide, 1.04 * t_guide
+    t, w = golden_section_max(work_walk(op, cfg.charger_level), lo, hi)
+    if min(t - lo, hi - t) < _XTOL:
+        warnings.warn(
+            f"matrix-free stored-work maximum at t = {t:.9g} is on the edge "
+            f"of its search bracket [{lo:.9g}, {hi:.9g}]; the true maximum "
+            "may lie outside it", HorizonWarning, stacklevel=2)
     return w, t
 
 

@@ -19,19 +19,26 @@ columns only, and K[(q, m), b] = sqrt(w_q) (R_q R_q)[m, b] on the rule of
 the 2 omega_B Gaussian. The rows of G that share a lowered state b-, one
 per node, touch at most M_B * M_C columns, and the rows of K that share an
 (N-2)-particle state m touch M_B (M_B + 1) / 2, so each Gram product is a
-sum of small dense blocks. Nothing is cached between builds. The
-matrix-free operator in ``krylov.py`` applies the same node factors
-without multiplying them out.
+sum of small dense blocks. The matrix-free operator in ``krylov.py``
+applies the same node factors without multiplying them out.
+
+What does not depend on omega_C or g_BC is built once per cutoff and
+cached (``cutoff_model``): the sector basis, the battery Hamiltonian with
+its eigendecomposition, and H_B (x) 1_C on the sector as CSR. A quench
+build (``quench_hamiltonians``) then adds the charger diagonal to get H0 as
+CSR and fills one dense buffer with H1 = Hint + H0 for the eigensolver.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import enumerate_fock_states, fock_parity
+from .basis import (CompositeBasis, build_composite_basis,
+                    enumerate_fock_states, fock_parity)
 from .errors import ConfigError
 from .integrals import contact_nodes
 
@@ -106,7 +113,8 @@ class BatteryHamiltonian:
     """Battery-only Hamiltonian with its spectral decomposition.
 
     Every eigenvector lies in one parity block of the Fock basis;
-    ``parities[k]`` is the parity of eigenvector k.
+    ``parities[k]`` is the parity of eigenvector k and ``state_parities[b]``
+    that of Fock state b.
     """
 
     num_particles: int
@@ -118,6 +126,7 @@ class BatteryHamiltonian:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     parities: np.ndarray
+    state_parities: np.ndarray
 
     @property
     def dim(self):
@@ -167,7 +176,8 @@ def assemble_battery_only(num_particles, num_modes, g_B, omega_B):
     return BatteryHamiltonian(
         num_particles=num_particles, num_modes=num_modes, g=g_B, omega=omega_B,
         states=tuple(states), matrix=h, eigenvalues=eigenvalues[order],
-        eigenvectors=eigenvectors[:, order], parities=parities[order])
+        eigenvectors=eigenvectors[:, order], parities=parities[order],
+        state_parities=state_parity)
 
 
 def embed_battery_operator(basis, op):
@@ -194,21 +204,28 @@ def _resolve_freqs(basis, omega_B, omega_C):
     return wb, wc
 
 
+def _sector_h0(basis, battery_csr, omega_C):
+    """H0 as CSR: H_B (x) 1_C on the sector plus the charger's one-body
+    diagonal."""
+    charger = omega_C * (basis.charger_index + 0.5)
+    return battery_csr + sp.diags(charger, format="csr")
+
+
 def assemble_H0(basis, g_B, omega_B=None, omega_C=None):
-    """Decoupled Hamiltonian on the composite sector basis.
+    """Decoupled Hamiltonian on the composite sector basis, dense.
 
     Frequencies default to the ones stored in the basis configs; passing
     them explicitly reuses the same basis structure across frequency scans.
     """
     wb, wc = _resolve_freqs(basis, omega_B, omega_C)
     battery = _battery_matrix(basis.battery_states, g_B, wb)
-    h = embed_battery_operator(basis, battery).toarray()
-    h[np.diag_indices_from(h)] += wc * (basis.charger_index + 0.5)
-    return h
+    return _sector_h0(basis, embed_battery_operator(basis, battery),
+                      wc).toarray()
 
 
 def assemble_Hint(basis, g_BC, omega_B=None, omega_C=None):
-    """Contact battery-charger coupling on the composite sector basis."""
+    """Contact battery-charger coupling on the composite sector basis,
+    dense."""
     wb, wc = _resolve_freqs(basis, omega_B, omega_C)
     dim = basis.size
     if g_BC == 0.0:
@@ -224,7 +241,9 @@ def assemble_Hint(basis, g_BC, omega_B=None, omega_C=None):
     scale = np.repeat(amp, mc, axis=1)
     blocks = ((cols[l, live], nodes[live] * scale[l, live, None])
               for l, live in enumerate(cols >= 0))
-    return g_BC * _gram(dim, blocks, composite_parity_vector(basis))
+    out = _gram(dim, blocks, composite_parity_vector(basis))
+    out *= g_BC
+    return out
 
 
 @dataclass
@@ -280,3 +299,62 @@ def composite_parity_vector(basis):
     bat = np.array([fock_parity(s) for s in basis.battery_states])
     chg = np.array([fock_parity(s) for s in basis.charger_states])
     return bat[basis.battery_index] * chg[basis.charger_index]
+
+
+def quench_hamiltonians(basis, battery_csr, g_BC):
+    """(h1, h0, hint) for one quench, frequencies from the basis configs.
+
+    H0 and Hint come back as CSR. H1 is the one dense matrix: the Hint Gram
+    buffer from assemble_Hint, with Hint's CSR copy taken first and each
+    entry of H0 then added once (hint + h0, the same float sum as h0 +
+    hint). The caller owns h1 and may overwrite it.
+    """
+    wb, wc = _resolve_freqs(basis, None, None)
+    h0 = _sector_h0(basis, battery_csr, wc)
+    h1 = assemble_Hint(basis, g_BC, wb, wc)
+    hint = sp.csr_matrix(h1)
+    entries = h0.tocoo()
+    h1[entries.row, entries.col] += entries.data
+    skew = _max_skew(h1)
+    if skew > 1e-12:
+        raise AssertionError(f"H1 assembly lost Hermiticity: {skew}")
+    return h1, h0, hint
+
+
+@dataclass(frozen=True)
+class CutoffModel:
+    """What every quench build at one cutoff shares: it depends on neither
+    omega_C nor g_BC.
+
+    ``basis.charger.omega`` is that of the build that made the model; a
+    build with another omega_C replaces the charger config.
+    """
+
+    basis: CompositeBasis
+    battery: BatteryHamiltonian
+    battery_csr: sp.csr_matrix      # H_B (x) 1_C on the sector
+
+
+_model_cache = {}
+_model_lock = threading.Lock()
+
+
+def cutoff_model(battery, charger, g_B, sector, cap):
+    """The CutoffModel of two SpeciesConfigs, a battery coupling, a parity
+    sector and a basis cap, cached on everything but the charger
+    frequency. Safe to call from scan workers: a model is built outside
+    the lock, and two threads that miss together both build it."""
+    key = (battery.num_particles, battery.num_modes, charger.num_modes,
+           float(g_B), float(battery.omega), sector, cap)
+    with _model_lock:
+        model = _model_cache.get(key)
+    if model is not None:
+        return model
+    basis = build_composite_basis(battery, charger, sector=sector, cap=cap)
+    bat = assemble_battery_only(battery.num_particles, battery.num_modes,
+                                g_B, battery.omega)
+    model = CutoffModel(basis=basis, battery=bat,
+                        battery_csr=embed_battery_operator(basis, bat.matrix))
+    with _model_lock:
+        _model_cache[key] = model
+    return model

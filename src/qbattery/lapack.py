@@ -1,0 +1,146 @@
+"""Symmetric eigensolver that works in place: LAPACK dsyevd through ctypes.
+
+``np.linalg.eigh`` copies its input into a Fortran-order work matrix and
+allocates the eigenvectors as a third D x D array; ``scipy.linalg.eigh``
+can overwrite its input but holds the GIL through the solve. Here dsyevd
+is called through a ctypes function pointer, which releases the GIL, and
+overwrites the caller's buffer with the eigenvectors.
+
+The pointer is looked up in the symbol scope of numpy's linalg extension,
+under the names numpy's wheels give the ILP64 OpenBLAS symbol, so the
+solve shares numpy's thread pool. (scipy links a second OpenBLAS whose
+threads keep spinning after each call; at two BLAS threads on two cores
+they slowed numpy's GEMMs between solves about twofold.) Where that symbol
+is missing, scipy's ``cython_lapack`` capsule supplies the pointer. Either
+is resolved on first use, not at import.
+
+To Fortran a C-order buffer is the transposed matrix, so uplo = "L" reads
+the upper triangle of a symmetric buffer: on an exactly symmetric matrix
+the data numpy reads. With the same workspace query the eigenpairs are bit
+for bit those of ``np.linalg.eigh``. They come back as rows of the buffer,
+and a tiled transpose in place turns them into columns.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import os
+
+import numpy as np
+
+from .errors import ConfigError, NumericalBreakdownError
+
+_TILE = 256     # side of the square tiles swapped by _transpose_in_place
+# dsyevd with 64-bit integers in numpy's wheels (numpy 2, numpy 1.2x)
+_NUMPY_SYMBOLS = ("scipy_dsyevd_64_", "dsyevd_64_")
+
+
+def _numpy_dsyevd():
+    """Address of dsyevd in numpy's ILP64 LAPACK, or None."""
+    try:
+        scope = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except OSError:
+        return None
+    for name in _NUMPY_SYMBOLS:
+        function = getattr(scope, name, None)
+        if function is not None:
+            return ctypes.cast(function, ctypes.c_void_p).value
+    return None
+
+
+def _scipy_dsyevd():
+    """Address of dsyevd behind scipy's cython_lapack (32-bit integers)."""
+    from scipy.linalg import cython_lapack
+    capsule = cython_lapack.__pyx_capi__["dsyevd"]
+    get_name = ctypes.pythonapi.PyCapsule_GetName
+    get_name.restype = ctypes.c_char_p
+    get_name.argtypes = [ctypes.py_object]
+    get_pointer = ctypes.pythonapi.PyCapsule_GetPointer
+    get_pointer.restype = ctypes.c_void_p
+    get_pointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
+    return get_pointer(capsule, get_name(capsule))
+
+
+@functools.cache
+def _dsyevd():
+    """(dsyevd, its integer dtype)."""
+    address, dtype = _numpy_dsyevd(), np.int64
+    if address is None:
+        address, dtype = _scipy_dsyevd(), np.intc
+    # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info: all pointers
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 11)(address), dtype
+
+
+def _call(n, a, w, work, lwork, iwork, liwork):
+    """One dsyevd call with jobz = "V", uplo = "L"; returns info."""
+    function, dtype = _dsyevd()
+    ints = np.array([n, max(1, n), lwork, liwork, 0], dtype=dtype)
+    n_, lda, lwork_, liwork_, info = (ints[k:].ctypes.data for k in range(5))
+    function(b"V", b"L", n_, a.ctypes.data, lda, w.ctypes.data,
+             work.ctypes.data, lwork_, iwork.ctypes.data, liwork_, info)
+    return int(ints[-1])
+
+
+def workspace(n):
+    """(lwork, liwork) from dsyevd's workspace query for an n x n matrix,
+    the sizes numpy's eigh allocates."""
+    work = np.zeros(1)
+    iwork = np.zeros(1, dtype=_dsyevd()[1])
+    info = _call(n, np.zeros(1), np.zeros(1), work, -1, iwork, -1)
+    if info != 0:
+        raise NumericalBreakdownError(f"dsyevd workspace query: info={info}")
+    return int(work[0]), int(iwork[0])
+
+
+def solve_bytes(n):
+    """Bytes held during an n x n solve: the matrix, the eigenvalues and
+    dsyevd's double and integer workspaces."""
+    lwork, liwork = workspace(n)
+    width = np.dtype(_dsyevd()[1]).itemsize
+    return 8 * n * n + 8 * n + 8 * lwork + width * liwork
+
+
+def _physical_memory():
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def check_memory(n):
+    """Raise ConfigError when an n x n solve needs more bytes than the
+    machine's physical memory."""
+    need, have = solve_bytes(n), _physical_memory()
+    if need > have:
+        raise ConfigError(
+            f"dense eigensolve at dimension {n} needs {need} bytes "
+            f"({need / 2**30:.1f} GiB), more than the {have} bytes of "
+            "physical memory")
+
+
+def _transpose_in_place(a):
+    """a <- a.T for a square C-order array, one tile pair at a time."""
+    n = len(a)
+    for i in range(0, n, _TILE):
+        rows = slice(i, i + _TILE)
+        a[rows, rows] = a[rows, rows].T.copy()
+        for j in range(i + _TILE, n, _TILE):
+            cols = slice(j, j + _TILE)
+            upper = a[rows, cols].copy()
+            a[rows, cols] = a[cols, rows].T
+            a[cols, rows] = upper.T
+
+
+def eigh_in_place(a):
+    """Eigenvalues (ascending) of the symmetric C-order float64 array ``a``,
+    which is overwritten with the eigenvectors as columns."""
+    if a.dtype != np.float64 or not a.flags.c_contiguous \
+            or a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("need a square C-contiguous float64 array")
+    n = len(a)
+    lwork, liwork = workspace(n)
+    w = np.empty(n)
+    info = _call(n, a, w, np.empty(lwork), lwork,
+                 np.empty(liwork, dtype=_dsyevd()[1]), liwork)
+    if info != 0:
+        raise NumericalBreakdownError(f"dsyevd failed: info={info}")
+    _transpose_in_place(a)
+    return w

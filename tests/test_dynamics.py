@@ -1,17 +1,20 @@
 """Quench dynamics: unitarity, conservation laws, and weak-coupling limits."""
 
+import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qbattery import dynamics, thermo
+from qbattery import dynamics, hamiltonian, lapack, thermo
 from qbattery.basis import ParitySector
 from qbattery.dynamics import (QuenchSimulation, SimulationConfig,
                                time_series)
 from qbattery.errors import ConfigError, CutoffWarning, NumericalBreakdownError
-from qbattery.hamiltonian import embed_battery_operator
+from qbattery.experiments import degeneracy_seeds
+from qbattery.hamiltonian import build_hamiltonian_set, embed_battery_operator
 from qbattery.tlm import resonance_solve, tlm_params, wb_tlm
 
 
@@ -44,7 +47,7 @@ def test_charger_quantum_counts_level():
 
 def test_evolution_matches_dense_expm():
     sim = QuenchSimulation(small_config(omega_C=1.01))
-    h1 = sim.h0 + sim.hint
+    h1 = (sim.h0 + sim.hint).toarray()
     for t in (0.7, 13.0):
         direct = expm(-1j * t * h1) @ sim.state0.amplitudes
         np.testing.assert_allclose(sim.state_at(t).amplitudes, direct,
@@ -311,3 +314,92 @@ def test_phase_tables_match_direct_trig():
         for got, want in zip(dynamics._phases(energies, coeff, times),
                              direct(times)):
             np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("g_B", [0.0, -0.5])
+def test_sparse_pieces_match_dense_assembly(g_B):
+    """H0 and Hint as CSR, and the dense H1 the solver gets, hold the very
+    numbers of the dense assembly."""
+    cfg = small_config(num_particles=2, g_B=g_B, omega_C=1.07,
+                       modes_battery=7, modes_charger=7)
+    model = cfg.cutoff_model()
+    sim_basis = dataclasses.replace(model.basis, charger=cfg.charger_config())
+    h1, h0, hint = hamiltonian.quench_hamiltonians(
+        sim_basis, model.battery_csr, cfg.g_BC)
+    dense = build_hamiltonian_set(sim_basis, g_B, cfg.g_BC)
+    assert np.array_equal(h0.toarray(), dense.h0)
+    assert np.array_equal(hint.toarray(), dense.hint)
+    assert np.array_equal(h1, dense.h1)
+
+
+@pytest.mark.parametrize("g_B", [0.0, -0.5])
+def test_cold_and_warm_model_cache_agree(g_B, monkeypatch):
+    monkeypatch.setattr(hamiltonian, "_model_cache", {})
+    cfg = small_config(num_particles=2, g_B=g_B, omega_C=1.03)
+    cold = QuenchSimulation(cfg)
+    warm = QuenchSimulation(cfg)
+    assert warm.battery_h is cold.battery_h
+    assert len(hamiltonian._model_cache) == 1
+    times = np.linspace(0.0, 60.0, 41)
+    assert np.array_equal(cold.work_series(times), warm.work_series(times))
+    for name in ("stored_work", "ergotropy", "entropy", "interaction_energy",
+                 "irreversible_work", "total_energy"):
+        assert np.array_equal(getattr(cold.series(times), name),
+                              getattr(warm.series(times), name))
+
+
+def test_cache_hit_carries_the_configs_charger_frequency(monkeypatch):
+    monkeypatch.setattr(hamiltonian, "_model_cache", {})
+    first = QuenchSimulation(small_config(omega_C=1.0))
+    cfg = small_config(omega_C=1.7)
+    sim = QuenchSimulation(cfg)
+    assert sim.battery_h is first.battery_h
+    assert sim.basis.charger.omega == cfg.omega_C
+    assert first.basis.charger.omega == 1.0
+    assert cfg.cutoff_model().basis.charger.omega == 1.0
+    # H0's charger diagonal uses the config's omega_C
+    sim_diag = sim.h0.diagonal() - first.h0.diagonal()
+    np.testing.assert_allclose(sim_diag,
+                               0.7 * (sim.basis.charger_index + 0.5),
+                               rtol=1e-14)
+
+
+def test_degeneracy_seeds_share_the_simulation_model(monkeypatch):
+    monkeypatch.setattr(hamiltonian, "_model_cache", {})
+    cfg = small_config(num_particles=2, g_B=0.4, omega_C=2.0)
+    degeneracy_seeds((1.0, 3.0), cfg)
+    assert len(hamiltonian._model_cache) == 1
+    assert QuenchSimulation(cfg).battery_h is cfg.cutoff_model().battery
+
+
+def test_simulation_checks_hermiticity_of_h1(monkeypatch):
+    cfg = small_config(num_particles=2, modes_battery=12, modes_charger=12)
+    basis = cfg.cutoff_model().basis
+    assert basis.size > 256
+    hint = hamiltonian.assemble_Hint(basis, cfg.g_BC)
+    hint[0, basis.size - 1] += 1e-11
+    monkeypatch.setattr(hamiltonian, "assemble_Hint", lambda *args: hint)
+    with pytest.raises(AssertionError, match="lost Hermiticity"):
+        QuenchSimulation(cfg)
+
+
+def test_memory_guard_refuses_before_allocating(monkeypatch):
+    cfg = small_config(num_particles=2, modes_battery=12, modes_charger=12)
+    cfg.cutoff_model()                          # warm: only the build is left
+    calls = []
+    monkeypatch.setattr(lapack, "_physical_memory", lambda: 10**6)
+    monkeypatch.setattr(hamiltonian, "assemble_Hint",
+                        lambda *args: calls.append("assemble_Hint"))
+    monkeypatch.setattr(dynamics.SpectralDecomposition, "from_matrix",
+                        lambda h: calls.append("from_matrix"))
+    dim = cfg.cutoff_model().basis.size
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError,
+                           match=f"needs {lapack.solve_bytes(dim)} bytes"):
+            QuenchSimulation(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert calls == []
+    assert peak < 8 * dim * dim

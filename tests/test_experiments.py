@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from qbattery import experiments
 from qbattery.basis import ParitySector
 from qbattery.dynamics import QuenchSimulation, SimulationConfig
-from qbattery.errors import ConfigError, NoTransferError
+from qbattery.errors import ConfigError, HorizonWarning, NoTransferError
 from qbattery.experiments import (RATIO_CAP, ResonancePeak, ScanConfig,
                                   convergence_check, degeneracy_seeds,
                                   emit_plot_script, find_resonance_peaks,
@@ -301,6 +302,31 @@ def test_krylov_peak_on_full_config_runs_the_reached_sector():
     w, t = experiments._krylov_peak(cfg, t_dense, cfg.omega_C)
     assert t == pytest.approx(t_dense, rel=0, abs=1e-5)
     assert w == pytest.approx(w_dense, rel=0, abs=1e-9)
+
+
+def test_krylov_peak_warns_when_brent_ends_on_the_bracket_edge():
+    """A guide half the true t_max puts the maximum beyond the bracket, so
+    Brent runs into its upper edge; the dense t_max as guide does not."""
+    cfg = base_config(num_particles=2, omega_C=resonance_solve(3, 2, 0.1),
+                      target_n=3)
+    _, t_dense = experiments._dense_peak(cfg, cfg.omega_C)
+    with pytest.warns(HorizonWarning, match="edge of its search bracket"):
+        _, t = experiments._krylov_peak(cfg, 0.5 * t_dense, cfg.omega_C)
+    assert t == pytest.approx(0.52 * t_dense, rel=1e-6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", HorizonWarning)
+        experiments._krylov_peak(cfg, t_dense, cfg.omega_C)
+
+
+def test_benchmark_cutoff_input_raises_no_bracket_warning():
+    """The cutoff benchmark's input (N_B = 2, n = 3, M = 13 doubled to 26,
+    tuned): every matrix-free peak is interior to its bracket."""
+    cfg = base_config(num_particles=2, omega_C=resonance_solve(3, 2, 0.1),
+                      modes_battery=13, modes_charger=13, target_n=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", HorizonWarning)
+        res = convergence_check(cfg, factor=2, tune=True)
+    assert res["modes_high"] == (26, 26)
 
 
 def test_scan_csv_independent_of_worker_count(tmp_path):
