@@ -31,6 +31,17 @@ into that basis (one GEMM per battery parity, about (D_B / 2) D^2; none at
 g_B = 0, where the Fock basis already is the eigenbasis), and
 W_B(t) = (eps - eps_0) . (re^2 + im^2) on the turned rows, O(D T).
 
+summarize prunes the t_max search (thermo.find_t_max) with a bound S on
+|dW_B/dt|, computed once per simulation (_work_slope). The search reads
+W_B on every 16th of its 1201 grid points, then on the points whose slope
+bound can still reach the near-peak threshold: about 250 points instead
+of 1670 per search on N_B = 2, M = 10 resonance builds. S is exact on the
+columns of V that carry all but 1e-12 of |c0|^2 and a Cauchy-Schwarz
+bound on the rest, about D h^2 flops for h such columns: 0.15-0.35 s at
+D = 2184 on one BLAS thread, against 0.6 s for the exact sum over all
+columns. It holds two D x _BLOCK_COLUMNS column copies at a time, no more
+than a read-out block.
+
 The full read-out keeps the Fock-basis block. Expectations of H0 and Hint
 are CSR products against it, re.A.re + im.A.im, O(nnz T). The reduced
 battery state needs only its spectrum, and the nonzero part of that comes
@@ -65,6 +76,7 @@ _SPACING_ULPS = 4        # evenly spaced: t_j this many ulp from t_0 + j dt
 _IMAG_TOL = 1e-10        # imaginary residue of a real-operator expectation
 _NORM_TOL = 1e-10        # | |psi(t)| - 1 | per column
 _ENERGY_RTOL = 1e-8      # E_total drift, relative to max(1, |E_total(0)|)
+_SLOPE_TAIL = 1e-12      # share of |c0|^2 whose W_B slope terms are bounded
 # Horizon in QSL estimates: the variance bound undershoots the peak time by
 # up to a factor of two at weak coupling.
 _SPAN_FACTOR = 3.0
@@ -331,6 +343,44 @@ class QuenchSimulation:
             start = kept.stop
         return rows, gaps
 
+    @functools.cached_property
+    def _work_slope(self):
+        """S = sum_kl |c_k c_l A_kl (E_k - E_l)| >= |dW_B/dt| for all t, as
+        W_B(t) = sum_kl c_k c_l A_kl cos((E_k - E_l) t) with
+        A = rows^T diag(gaps) rows.
+
+        The head, the columns that carry all but _SLOPE_TAIL of |c|^2, is
+        summed exactly, in pairs of column blocks of at most _BLOCK_COLUMNS.
+        A is positive semidefinite, so |A_kl| <= sqrt(A_kk A_ll): with
+        a_k = |c_k| sqrt(A_kk), the pairs that touch the tail are bounded
+        by sum_{k in tail} a_k sum_l w_l |E_k - E_l|, where w_l = 2 a_l on
+        the head and a_l on the tail. The inner sums are prefix sums over
+        the ascending energies.
+        """
+        rows, gaps = self._work_rows
+        coeff, energies = np.abs(self._coeff0), self.spectral.energies
+        weight = coeff * coeff
+        order = np.argsort(weight)
+        in_tail = np.zeros(weight.size, dtype=bool)
+        in_tail[order] = np.cumsum(weight[order]) <= _SLOPE_TAIL * weight.sum()
+        a = coeff * np.sqrt(np.einsum("i,ik,ik->k", gaps, rows, rows))
+        w = np.where(in_tail, a, 2.0 * a)
+        below, moment = np.cumsum(w), np.cumsum(w * energies)
+        spread = (energies * (2.0 * below - below[-1])
+                  - 2.0 * moment + moment[-1])
+        slope = float(a[in_tail] @ spread[in_tail])
+        head = np.flatnonzero(~in_tail)
+        blocks = np.array_split(head, max(1, -(-head.size // _BLOCK_COLUMNS)))
+        for j, cols in enumerate(blocks):
+            right = rows[:, cols]
+            right *= gaps[:, None]
+            for i, other in enumerate(blocks[:j + 1]):
+                block = np.abs(rows[:, other].T @ right)
+                block *= np.abs(energies[other][:, None] - energies[cols])
+                slope += (1.0 if i == j else 2.0) * float(
+                    coeff[other] @ block @ coeff[cols])
+        return slope
+
     @property
     def charger_quantum(self):
         """Energy initially stored in the charger, W_C(0)."""
@@ -442,8 +492,13 @@ class QuenchSimulation:
 
     def summarize(self):
         """Charging summary at the first stored-work maximum, with every
-        observable read out at t_max."""
-        s = thermo.find_t_max(self.work_series, self._horizon())
+        observable read out at t_max. The t_max search skips the grid
+        points that _work_slope proves cannot change its pick."""
+        # W_B's round-off budget: the norm guard's tolerance on its
+        # largest diagonal term
+        pad = _NORM_TOL * float(self._work_rows[1].max())
+        s = thermo.find_t_max(self.work_series, self._horizon(),
+                              slope=self._work_slope, pad=pad)
         obs = self.observables_at(s.t_max)
         return dataclasses.replace(
             s, ergotropy=obs["ergotropy"], entropy=obs["S_B"],

@@ -82,9 +82,10 @@ def _call(n, a, w, work, lwork, iwork, liwork):
     return int(ints[-1])
 
 
+@functools.cache
 def workspace(n):
     """(lwork, liwork) from dsyevd's workspace query for an n x n matrix,
-    the sizes numpy's eigh allocates."""
+    the sizes numpy's eigh allocates; queried once per n."""
     work = np.zeros(1)
     iwork = np.zeros(1, dtype=_dsyevd()[1])
     info = _call(n, np.zeros(1), np.zeros(1), work, -1, iwork, -1)

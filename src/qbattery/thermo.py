@@ -22,6 +22,7 @@ _CLIP_FLOOR = -1e-10
 _CLIP_BUDGET = 1e-8
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0   # golden-section step, 1 - 1/phi
 _COARSE_POINTS = 1201    # find_t_max's first grid over [0, horizon]
+_FIRST_STRIDE = 16       # grid points evaluated first when a slope is given
 _MIN_WORK = 1e-12        # smallest maximum W_B that counts as a transfer
 _NEAR_PEAK_RTOL = 1e-3   # an earlier local maximum this close to the top wins
 _XTOL = 1e-6             # golden_section_max tolerance in t
@@ -229,7 +230,33 @@ class ChargingSummary:
     total_energy: float | None = None
 
 
-def find_t_max(work, horizon):
+def _settle(work, times, values, known, first, slope, pad):
+    """Evaluate ``work`` on grid points ``first``, then on every point whose
+    slope bound can still reach the near-peak threshold, until none can.
+
+    Point t between its nearest evaluated neighbours s < t < s' is bounded
+    by min(W(s) + slope (t - s), W(s') + slope (s' - t)) + pad. ``values``
+    and ``known`` are updated in place; the grid ends must be in ``first``
+    or already known.
+    """
+    index = first
+    while index.size:
+        values[index] = work(times[index])
+        known[index] = True
+        if known.all():
+            return
+        top = values.max()
+        threshold = min((1.0 - _NEAR_PEAK_RTOL) * top, top)
+        grid = np.arange(times.size)
+        left = np.maximum.accumulate(np.where(known, grid, 0))
+        right = np.minimum.accumulate(
+            np.where(known, grid, times.size - 1)[::-1])[::-1]
+        reach = np.minimum(values[left] + slope * (times - times[left]),
+                           values[right] + slope * (times[right] - times))
+        index = np.flatnonzero(~known & (reach + pad >= threshold))
+
+
+def find_t_max(work, horizon, slope=math.inf, pad=0.0):
     """Earliest time achieving the maximum stored work.
 
     ``work`` must map a time array to a W_B array. A coarse grid of
@@ -243,23 +270,41 @@ def find_t_max(work, horizon):
     k < (_COARSE_POINTS - 1) / 2 of the doubled grid is bit for bit point
     2k of the old one, so only the rest is evaluated; the grid stays
     np.linspace(0, horizon, _COARSE_POINTS).
+
+    ``slope`` is a bound on |dW_B/dt| and ``pad`` one on the round-off of
+    a W_B value. With a finite slope the grid is pruned (Piyavskii-Shubert
+    bounds): every _FIRST_STRIDE-th point is evaluated first, then every
+    point whose bound W(s) + slope |t - s| + pad from its nearest evaluated
+    neighbours s reaches the near-peak threshold, until no such point is
+    left. A point left out is provably below that threshold, so it can be
+    neither the maximum nor a near peak and cannot turn a near point into
+    or out of a local maximum: the pick is that of the full grid. The
+    default slope = inf evaluates the full grid in one call.
     t_max is resolved to _XTOL, but W_B(t) is so flat at its maximum that
     round-off moves the result by up to about 3e-6.
     """
     if horizon <= 0 or not np.isfinite(horizon):
         raise ValueError("horizon must be positive and finite")
+    if not slope >= 0.0:
+        raise ValueError("slope must be non-negative")
     half = (_COARSE_POINTS - 1) // 2
+    first = np.arange(0, _COARSE_POINTS,
+                      _FIRST_STRIDE if math.isfinite(slope) else 1)
     times = np.linspace(0.0, horizon, _COARSE_POINTS)
-    values = np.asarray(work(times), dtype=float)
+    values = np.full(_COARSE_POINTS, -np.inf)
+    known = np.zeros(_COARSE_POINTS, dtype=bool)
+    _settle(work, times, values, known, first, slope, pad)
     for _ in range(_MAX_EXTENSIONS):
         if np.argmax(values) < _COARSE_POINTS - 2:
             break
         horizon *= 2.0
         times = np.linspace(0.0, horizon, _COARSE_POINTS)
         # linspace pins its last point to the horizon, so the old end point
-        # can differ from the new midpoint by an ulp: evaluate it afresh
-        values = np.concatenate(
-            [values[:-1:2], np.asarray(work(times[half:]), dtype=float)])
+        # can differ from the new midpoint by an ulp: it is not reused
+        values = np.concatenate([values[:-1:2], np.full(half + 1, -np.inf)])
+        known = np.concatenate([known[:-1:2], np.zeros(half + 1, dtype=bool)])
+        _settle(work, times, values, known, first[first >= half], slope,
+                pad)
     best = int(np.argmax(values))
     if best >= _COARSE_POINTS - 2:
         warnings.warn(

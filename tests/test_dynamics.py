@@ -403,3 +403,68 @@ def test_memory_guard_refuses_before_allocating(monkeypatch):
         tracemalloc.stop()
     assert calls == []
     assert peak < 8 * dim * dim
+
+
+def exact_slope_terms(sim):
+    """|c_k c_l A_kl (E_k - E_l)| with A = rows^T diag(gaps) rows, and the
+    Cauchy-Schwarz bounds |c_k c_l| sqrt(A_kk A_ll) |E_k - E_l| on them."""
+    rows, gaps = sim._work_rows
+    coeff, energies = np.abs(sim._coeff0), sim.spectral.energies
+    a_matrix = rows.T @ (gaps[:, None] * rows)
+    spread = np.abs(energies[:, None] - energies[None, :])
+    a = coeff * np.sqrt(np.diag(a_matrix))
+    return (np.abs(np.outer(coeff, coeff) * a_matrix) * spread,
+            np.outer(a, a) * spread)
+
+
+@pytest.mark.parametrize("g_B", [0.0, -0.5, 3.0])
+def test_work_slope_bounds_the_work_series(g_B):
+    sim = QuenchSimulation(small_config(num_particles=2, g_B=g_B,
+                                        omega_C=1.04))
+    times = np.linspace(0.0, 4.0 * sim._horizon(), 20_001)
+    work = sim.work_series(times)
+    steepest = np.abs(np.diff(work) / np.diff(times)).max()
+    exact = exact_slope_terms(sim)[0].sum()
+    assert steepest <= sim._work_slope
+    # with no tail column S is the exact sum, up to summation order
+    assert (1.0 - 1e-12) * exact <= sim._work_slope <= 1.5 * exact
+
+
+@pytest.mark.parametrize("tail", [0.0, 1e-6, 1.0])
+def test_work_slope_is_exact_on_the_head_and_cauchy_schwarz_on_the_tail(
+        tail, monkeypatch):
+    # tail 0: the exact sum; 1: all Cauchy-Schwarz, which checks the prefix
+    # sums over the energies; 1e-6: 38 of 63 columns in the tail
+    sim = QuenchSimulation(small_config(num_particles=2, g_B=-0.5,
+                                        omega_C=1.04))
+    monkeypatch.setattr(dynamics, "_SLOPE_TAIL", tail)
+    monkeypatch.setattr(dynamics, "_BLOCK_COLUMNS", 7)   # several blocks
+    weight = sim._coeff0 ** 2
+    order = np.argsort(weight)
+    in_tail = np.zeros(weight.size, dtype=bool)
+    in_tail[order] = np.cumsum(weight[order]) <= tail * weight.sum()
+    head = ~in_tail
+    exact, bounds = exact_slope_terms(sim)
+    want = np.where(np.outer(head, head), exact, bounds).sum()
+    assert QuenchSimulation._work_slope.func(sim) == pytest.approx(
+        want, rel=1e-12)
+
+
+def test_summarize_prunes_the_grid_to_the_same_pick():
+    sim = QuenchSimulation(small_config(num_particles=2, g_B=3.0,
+                                        omega_C=1.04))
+    points = []
+    real = sim.work_series
+
+    def counted(times):
+        points.append(np.size(times))
+        return real(times)
+
+    sim.work_series = counted
+    summary = sim.summarize()
+    pruned = sum(points)
+    points.clear()
+    full = thermo.find_t_max(sim.work_series, sim._horizon())
+    assert (summary.t_max, summary.stored_work) == \
+        (full.t_max, full.stored_work)
+    assert pruned < sum(points) / 3

@@ -9,7 +9,8 @@ import pytest
 from qbattery import lapack
 from qbattery.basis import (ParitySector, Species, SpeciesConfig,
                             build_composite_basis)
-from qbattery.dynamics import SpectralDecomposition
+from qbattery.dynamics import (QuenchSimulation, SimulationConfig,
+                               SpectralDecomposition)
 from qbattery.hamiltonian import build_hamiltonian_set
 
 
@@ -70,6 +71,8 @@ def test_scipy_pointer_when_numpy_lapack_is_not_found(rng, monkeypatch):
     monkeypatch.setattr(lapack, "_numpy_dsyevd", lambda: None)
     monkeypatch.setattr(lapack, "_dsyevd",
                         functools.cache(lapack._dsyevd.__wrapped__))
+    monkeypatch.setattr(lapack, "workspace",
+                        functools.cache(lapack.workspace.__wrapped__))
     assert lapack._dsyevd()[1] is np.intc
     h = random_symmetric(rng, 300)
     buffer = h.copy()
@@ -93,3 +96,22 @@ def test_solve_bytes_counts_matrix_and_workspace():
     # dsyevd's documented minimum for jobz = "V"
     assert lwork >= 1 + 6 * n + 2 * n * n and liwork >= 3 + 5 * n
     assert lapack.solve_bytes(n) >= 8 * n * n + 8 * lwork + 4 * liwork
+
+
+def test_workspace_is_queried_once_per_size(monkeypatch):
+    calls = []
+    real_call = lapack._call
+
+    def counted(*args):
+        calls.append(args[4])   # lwork: -1 marks a workspace query
+        return real_call(*args)
+
+    monkeypatch.setattr(lapack, "_call", counted)
+    lapack.workspace.cache_clear()
+    for _ in range(2):
+        QuenchSimulation(SimulationConfig(
+            num_particles=2, omega_C=3.1, g_BC=0.1, modes_battery=8,
+            modes_charger=8, target_n=3))
+    # check_memory and eigh_in_place share one query; then one solve each
+    assert calls[0] == -1 and len(calls) == 3
+    assert all(lwork > 0 for lwork in calls[1:])

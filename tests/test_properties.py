@@ -1,11 +1,15 @@
 """Properties of the dense pipeline over small random configurations."""
 
+import warnings
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qbattery import thermo
 from qbattery.basis import ParitySector
 from qbattery.dynamics import QuenchSimulation, SimulationConfig
+from qbattery.errors import HorizonWarning, NoTransferError
 from qbattery.hamiltonian import composite_parity_vector
 
 configs = st.builds(
@@ -40,3 +44,24 @@ def test_full_sector_run_keeps_parity_norm_and_ergotropy_bounds(cfg, times):
     # ergotropy is a difference of two spectral sums: allow its round-off
     assert np.all(series.ergotropy >= -1e-12)
     assert np.all(series.ergotropy <= series.stored_work + 1e-9)
+
+
+def outcome(search):
+    """(t_max, W_B) of a t_max search, or the error it raised."""
+    try:
+        s = search()
+    except NoTransferError as exc:
+        return str(exc)
+    return s.t_max, s.stored_work
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(cfg=configs)
+def test_pruned_t_max_search_matches_the_full_grid(cfg):
+    sim = QuenchSimulation(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", HorizonWarning)
+        pruned = outcome(sim.summarize)
+        full = outcome(lambda: thermo.find_t_max(sim.work_series,
+                                                 sim._horizon()))
+    assert pruned == full

@@ -1,6 +1,7 @@
 """Thermodynamic observables against closed-form and brute-force references."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -197,6 +198,84 @@ def test_find_t_max_picks_earliest_equivalent_peak():
     # two equal-height peaks; the earlier one must win
     res = find_t_max(lambda ts: np.sin(np.asarray(ts)) ** 2, 10.0)
     assert res.t_max == pytest.approx(math.pi / 2.0, abs=1e-4)
+
+
+class Counted:
+    """A work function that counts the grid points it is asked for."""
+
+    def __init__(self, f):
+        self.f, self.points = f, 0
+
+    def __call__(self, ts):
+        ts = np.asarray(ts, dtype=float)
+        self.points += ts.size
+        return self.f(ts)
+
+
+@pytest.mark.parametrize("period, slope, horizon", [
+    (10.0, 0.1, 40.0),        # one grid
+    (100.0, 0.01, 40.0),      # two doublings
+    (1000.0, 0.001, 40.0),    # HorizonWarning
+    (1.0, 1.0, 10.0),         # two equal peaks: the earlier one
+])
+def test_find_t_max_pruned_by_exact_slope_matches_full_grid(period, slope,
+                                                            horizon):
+    # |d/dt sin^2(t/p)| = |sin(2t/p)| / p <= 1/p
+    def signal(ts):
+        return np.sin(ts / period) ** 2
+
+    def search(work, **kw):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            summary = find_t_max(work, horizon, **kw)
+        return summary, [w.category for w in caught]
+
+    full, pruned = Counted(signal), Counted(signal)
+    assert search(pruned, slope=slope) == search(full)
+    assert pruned.points < full.points
+
+
+def two_peaks(ts):
+    """A broad bump of 0.9 at t = 70 and a narrow one of 1.0 at t = 31.3,
+    whose slope reaches sqrt(2 / e) / 0.3 = 2.86."""
+    return (0.9 * np.exp(-((ts - 70.0) / 10.0) ** 2)
+            + np.exp(-((ts - 31.3) / 0.3) ** 2))
+
+
+def test_find_t_max_pruned_keeps_narrow_peak_with_true_slope():
+    pruned = Counted(two_peaks)
+    got = find_t_max(pruned, 100.0, slope=2.9)
+    assert got == find_t_max(two_peaks, 100.0)
+    assert got.t_max == pytest.approx(31.3, abs=1e-4)
+    assert pruned.points < 1201
+
+
+def test_find_t_max_pruned_keeps_an_earlier_near_peak():
+    # two tents of slope 0.01: the earlier one, 5e-4 below the top, is the
+    # pick. The top sits on a first-pass point, and the earlier tent's slope
+    # bound is tight, so only the near-peak threshold, not the top, keeps
+    # its grid points
+    top = np.linspace(0.0, 100.0, 1201)[832]
+
+    def tents(ts):
+        return np.maximum(0.9995 - 0.01 * np.abs(ts - 30.3),
+                          1.0 - 0.01 * np.abs(ts - top))
+
+    got = find_t_max(tents, 100.0, slope=0.01)
+    assert got == find_t_max(tents, 100.0)
+    assert got.t_max == pytest.approx(30.3, abs=1e-4)
+
+
+def test_find_t_max_slope_too_small_loses_the_pick():
+    # negative control: a slope 10x below the true one prunes the narrow
+    # peak between two first-pass points, so the search settles on the bump
+    got = find_t_max(two_peaks, 100.0, slope=0.29)
+    assert got.t_max == pytest.approx(70.0, abs=1e-2)
+
+
+def test_find_t_max_rejects_negative_slope():
+    with pytest.raises(ValueError, match="slope"):
+        find_t_max(two_peaks, 100.0, slope=-1.0)
 
 
 def test_find_t_max_raises_without_transfer():
