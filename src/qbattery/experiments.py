@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import ParitySector, fock_dimension
+from .basis import ParitySector
 from .dynamics import QuenchSimulation, SimulationConfig
 from .errors import ConfigError, HorizonWarning, NoTransferError
 from .krylov import ProductSpaceOperator, work_walk
@@ -458,21 +458,19 @@ def _dense_peak(cfg, omega):
 
 
 def _krylov_peak(cfg, t_guide, omega):
-    """(W_B, t_max) on the matrix-free pipeline (g_B = 0 only): the maximum
+    """(W_B, t_max) on the matrix-free pipeline, for any g_B: the maximum
     of W_B(t) over t_guide * [0.96, 1.04], found by golden_section_max
     (Brent's method) along one ``work_walk``.  The operator acts on the
     parity sector that holds psi(0): ``cfg.sector``, or for a FULL config
     the parity of the charger level, the only sector the dynamics reaches.
     A maximum within golden_section_max's xtol of either end of that bracket
     may lie outside it, and HorizonWarning says so."""
-    if cfg.g_B != 0:
-        raise ConfigError("matrix-free path requires an ideal battery")
     sector = cfg.sector
     if sector is ParitySector.FULL:
         sector = ParitySector((-1) ** cfg.charger_level)
     op = ProductSpaceOperator(
         num_particles=cfg.num_particles, modes_battery=cfg.modes_battery,
-        modes_charger=cfg.modes_charger, g_BC=cfg.g_BC,
+        modes_charger=cfg.modes_charger, g_BC=cfg.g_BC, g_B=cfg.g_B,
         omega_B=cfg.omega_B, omega_C=float(omega), sector=sector)
     lo, hi = 0.96 * t_guide, 1.04 * t_guide
     t, w = golden_section_max(work_walk(op, cfg.charger_level), lo, hi)
@@ -484,45 +482,34 @@ def _krylov_peak(cfg, t_guide, omega):
     return w, t
 
 
-# The dense pipeline works in one parity sector, roughly half the product
-# dimension; eigh stays practical up to sector sizes of a few thousand.
-DENSE_LIMIT = 8000
-
-
 def convergence_check(config, factor=2, tune=True):
     """Cutoff convergence of the first stored-work maximum.
 
     Runs the pipeline at the working cutoffs and with both mode cutoffs
-    multiplied by `factor`.  With tune=True each cutoff re-centers omega_C
-    on its local transfer peak (three-point parabola through W_peak(omega)),
-    so the comparison tracks the physical peak height rather than mixing in
-    the slow cutoff drift of the peak position.  A cutoff whose battery x
-    charger product dimension exceeds DENSE_LIMIT runs matrix-free on the
-    parity sector of psi(0) (about half that dimension), with t_max
-    searched within 4 % of t_low (or of the two-level speed-limit time).
+    multiplied by `factor`, an integer >= 1.  With tune=True each cutoff
+    re-centers omega_C on its local transfer peak (three-point parabola
+    through W_peak(omega)), so the comparison tracks the physical peak
+    height rather than mixing in the slow cutoff drift of the peak
+    position.  The low cutoff runs dense, with the global t_max search.
+    The high cutoff, for any g_B, runs matrix-free on the parity sector of
+    psi(0) (about half the product dimension), with t_max searched within
+    4 % of t_low.
     """
+    if not isinstance(factor, (int, np.integer)) or factor < 1:
+        raise ConfigError(f"factor must be an integer >= 1, not {factor!r}")
     high = dataclasses.replace(config,
                                modes_battery=factor * config.modes_battery,
                                modes_charger=factor * config.modes_charger)
     results = {}
+    peak = functools.partial(_dense_peak, config)
     for tag, cfg in (("low", config), ("high", high)):
-        product_dim = (fock_dimension(cfg.num_particles, cfg.modes_battery)
-                       * cfg.modes_charger)
-        if product_dim <= DENSE_LIMIT:
-            peak = functools.partial(_dense_peak, cfg)
-        else:
-            guide = results.get("t_low")
-            if guide is None:
-                params = tlm.tlm_params(cfg.target_n, cfg.num_particles,
-                                        cfg.g_BC, cfg.omega_C,
-                                        omega_B=cfg.omega_B)
-                guide = tlm.qsl_tlm(params)
-            peak = functools.partial(_krylov_peak, cfg, guide)
         w, omega, t = _tune_peak(peak, cfg.omega_C, tune)
         results[f"W_{tag}"] = w
         results[f"omega_{tag}"] = omega
         results[f"t_{tag}"] = t
         results[f"modes_{tag}"] = (cfg.modes_battery, cfg.modes_charger)
+        # the high cutoff searches for t_max around the low cutoff's
+        peak = functools.partial(_krylov_peak, high, t)
     results["rel_diff"] = abs(results["W_high"] - results["W_low"]) \
         / abs(results["W_low"])
     return results

@@ -20,7 +20,7 @@ the 2 omega_B Gaussian. The rows of G that share a lowered state b-, one
 per node, touch at most M_B * M_C columns, and the rows of K that share an
 (N-2)-particle state m touch M_B (M_B + 1) / 2, so each Gram product is a
 sum of small dense blocks. The matrix-free operator in ``krylov.py``
-applies the same node factors without multiplying them out.
+applies G's node factors without multiplying them out.
 
 What does not depend on omega_C or g_BC is built once per cutoff and
 cached (``cutoff_model``): the sector basis, the battery Hamiltonian with

@@ -40,8 +40,9 @@ is real and on its real and imaginary rows otherwise, and it raises
 it: ``propagate_work_series`` and ``experiments.convergence_check`` both
 read W_B(t) through it.
 
-Only the non-interacting battery (g_B = 0) is supported here; the dense
-pipeline covers interacting batteries at production cutoffs.
+H_B, with its g_B term, is the dense pipeline's matrix from
+``hamiltonian.assemble_battery_only``; its off-diagonal part adds one
+GEMM per parity block and row to the cost above (none at g_B = 0).
 """
 
 from __future__ import annotations
@@ -53,10 +54,10 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.special import jv
 
-from .basis import ParitySector, enumerate_fock_states, fock_parity
+from .basis import ParitySector
 from .dynamics import _ENERGY_RTOL
 from .errors import ConfigError, NumericalBreakdownError
-from .hamiltonian import _raising_table
+from .hamiltonian import _raising_table, assemble_battery_only
 from .integrals import contact_nodes
 
 __all__ = [
@@ -86,8 +87,8 @@ _BESSEL_TOL = 1e-13
 @dataclass
 class ProductSpaceOperator:
     """H = H_B (x) 1 + 1 (x) H_C + g_BC * factorized contact coupling on one
-    parity sector of the battery x charger product space.  Battery is ideal
-    (g_B = 0), so both bare pieces are diagonal in the Fock product basis.
+    parity sector of the battery x charger product space, with H_B (and its
+    g_B term) from ``hamiltonian.assemble_battery_only``.
 
     ``sector`` is ODD or EVEN (total parity, as in
     ``SimulationConfig.sector``).  A vector holds two blocks, each battery
@@ -104,6 +105,7 @@ class ProductSpaceOperator:
     modes_battery: int
     modes_charger: int
     g_BC: float
+    g_B: float = 0.0
     omega_B: float = 1.0
     omega_C: float = 1.0
     sector: ParitySector = ParitySector.ODD
@@ -111,21 +113,20 @@ class ProductSpaceOperator:
                                     init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.num_particles < 1:
-            raise ConfigError("need at least one battery particle")
         if self.modes_battery < 2 or self.modes_charger < 2:
             raise ConfigError("need at least two modes per species")
         if self.sector not in (ParitySector.ODD, ParitySector.EVEN):
             raise ConfigError("the matrix-free operator acts on the ODD or "
                               f"EVEN sector, not {self.sector!r}")
-        states = enumerate_fock_states(self.num_particles, self.modes_battery)
-        self.battery_dim = len(states)
-        up, amp, lowered = _raising_table(states)
+        battery = assemble_battery_only(
+            self.num_particles, self.modes_battery, self.g_B, self.omega_B)
+        self.battery_dim = battery.dim
+        up, amp, lowered = _raising_table(battery.states)
         self.lowered_dim = len(lowered)
 
         # Battery states in block order: even ones first.  Block b pairs
         # them with the charger modes whose parity completes the sector.
-        parity = np.array([fock_parity(s) for s in states])
+        parity = battery.state_parities
         block_order = np.argsort(-parity, kind="stable")
         position = np.empty_like(block_order)
         position[block_order] = np.arange(block_order.size)
@@ -146,6 +147,8 @@ class ProductSpaceOperator:
         phi = phi[:, half]
         self.num_nodes = node_weights.size
 
+        # H_B's off-diagonal part per block, None when zero (g_B = 0): it
+        # fills 30-100 % of a block, so it is kept dense
         self._blocks = []
         pairs = []
         entry = 0
@@ -154,20 +157,22 @@ class ProductSpaceOperator:
             modes = charger[(-1) ** charger * battery_parity
                             == self.sector.value]
             size = (hi - lo) * modes.size
+            own = block_order[lo:hi]
+            off = battery.matrix[np.ix_(own, own)] * (1.0 - np.eye(own.size))
             self._blocks.append(SimpleNamespace(
                 states=(lo, hi), entries=slice(entry, entry + size),
-                charger_at_nodes=np.ascontiguousarray(chi[modes][:, half])))
+                charger_at_nodes=np.ascontiguousarray(chi[modes][:, half]),
+                battery=off if off.any() else None))
             pairs.append(np.stack(np.broadcast_arrays(
-                block_order[lo:hi, None], modes[None, :]), -1).reshape(-1, 2))
+                own[:, None], modes[None, :]), -1).reshape(-1, 2))
             entry += size
         self.pairs = np.concatenate(pairs)
 
-        occ = np.array(states, dtype=float)
-        levels = np.arange(self.modes_battery, dtype=float)
-        battery, mode = self.pairs.T
-        self._diag = ((self.omega_B * occ @ (levels + 0.5))[battery]
-                      + self.omega_C * (mode + 0.5))
-        self._work = (self.omega_B * occ @ levels)[battery]
+        battery_index, mode = self.pairs.T
+        h_b_diag = np.diag(battery.matrix)
+        self._diag = h_b_diag[battery_index] + self.omega_C * (mode + 0.5)
+        self._gaps = (h_b_diag - battery.ground_energy)[battery_index]
+        self._ground = battery.ground_state[battery_index]
 
         # Row (i, l) of the stacked lowering map R_q reads battery state
         # up[l, i] (in block order) with factor sqrt(n_i) phi_i(x_q).  R_q^T
@@ -243,8 +248,11 @@ class ProductSpaceOperator:
         for blk in self._blocks:
             lo, hi = blk.states
             for r in range(k):
-                np.matmul(w.z[lo:hi, r], blk.charger_at_nodes.T,
-                          out=out[r, blk.entries].reshape(hi - lo, -1))
+                part = out[r, blk.entries].reshape(hi - lo, -1)
+                np.matmul(w.z[lo:hi, r], blk.charger_at_nodes.T, out=part)
+                if blk.battery is not None:
+                    part += blk.battery @ rows[r, blk.entries].reshape(
+                        hi - lo, -1)
         out += rows * self._diag
         return out
 
@@ -269,22 +277,25 @@ class ProductSpaceOperator:
         return cols
 
     def initial_state(self, charger_level: int = 1) -> np.ndarray:
-        """Battery ground state (all particles in mode 0, the first Fock
-        state) times one charger mode; valid because g_B = 0.  Raises
-        ConfigError when that product state lies outside the sector."""
-        entry = np.flatnonzero((self.pairs[:, 0] == 0)
-                               & (self.pairs[:, 1] == charger_level))
-        if entry.size == 0:
+        """Battery ground state, the one the dense pipeline starts from,
+        times one charger mode.  Raises ConfigError when that product state
+        lies outside the sector."""
+        psi = np.where(self.pairs[:, 1] == charger_level, self._ground, 0.0)
+        if psi @ psi < 1.0 - 1e-9:
             raise ConfigError(
                 f"charger level {charger_level} puts the initial state "
                 f"outside the {self.sector.name} sector of "
                 f"{self.modes_charger} charger modes")
-        psi = np.zeros(self.dim)
-        psi[entry] = 1.0
         return psi
 
     def stored_work(self, psi: np.ndarray) -> float:
-        return float(self._work @ np.abs(psi) ** 2)
+        """<H_B (x) 1> - E_0 on a normalized psi."""
+        work = self._gaps @ np.abs(psi) ** 2
+        for blk in self._blocks:
+            if blk.battery is not None:
+                part = psi[blk.entries].reshape(blk.battery.shape[0], -1)
+                work += np.vdot(part, blk.battery @ part).real
+        return float(work)
 
 
 def spectral_bounds(op: ProductSpaceOperator):

@@ -275,21 +275,40 @@ def test_convergence_check_reports_both_cutoffs():
     assert res["rel_diff"] < 1e-2
 
 
-def test_convergence_check_matrix_free_branch(monkeypatch):
-    """Low cutoff dense, high cutoff matrix-free: the reported (W, t) is the
-    first stored-work maximum the dense pipeline finds at the same cutoff
-    and omega_C, not a point near the low cutoff's t."""
+@pytest.mark.parametrize("g_B", [0.0, -0.5])
+def test_convergence_check_matrix_free_branch(g_B):
+    """Low cutoff dense, high cutoff matrix-free, for an ideal and an
+    interacting battery: the reported (W, t) is the first stored-work
+    maximum the dense pipeline finds at the same cutoff and omega_C, not a
+    point near the low cutoff's t, and no search ends on its bracket."""
     cfg = base_config(num_particles=2, modes_battery=8, modes_charger=8,
-                      omega_C=resonance_solve(3, 2, 0.1), target_n=3)
-    # product dimension 36 * 8 = 288 at M = 8, 136 * 16 = 2176 at M = 16
-    monkeypatch.setattr(experiments, "DENSE_LIMIT", 1000)
-    res = convergence_check(cfg, factor=2, tune=True)
+                      omega_C=resonance_solve(3, 2, 0.1), target_n=3,
+                      g_B=g_B)
+    if g_B:
+        # the resonance of the attractive battery that the low cutoff finds
+        # near n = 3
+        peak = fine_tune_resonance((3.0, 3.2), cfg)
+        cfg = dataclasses.replace(cfg, omega_C=peak.omega_C)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", HorizonWarning)
+        res = convergence_check(cfg, factor=2, tune=True)
     assert res["modes_high"] == (16, 16)
     high = dataclasses.replace(cfg, modes_battery=16, modes_charger=16,
                                omega_C=res["omega_high"])
     dense = QuenchSimulation(high).summarize()
     assert res["t_high"] == pytest.approx(dense.t_max, rel=0, abs=1e-5)
     assert res["W_high"] == pytest.approx(dense.stored_work, rel=0, abs=1e-9)
+
+
+def test_convergence_check_validates_factor_before_building(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a simulation before checking factor")
+
+    monkeypatch.setattr(experiments, "QuenchSimulation", no_build)
+    cfg = base_config()
+    for factor in (1.5, 2.0, 0, -2, "2", None):
+        with pytest.raises(ConfigError, match="factor"):
+            convergence_check(cfg, factor=factor)
 
 
 def test_krylov_peak_on_full_config_runs_the_reached_sector():

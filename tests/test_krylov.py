@@ -17,10 +17,10 @@ from qbattery.krylov import (ProductSpaceOperator, chebyshev_evolve,
 
 
 def make_operator(num_particles=2, mb=6, mc=6, g=0.1, wc=1.0,
-                  sector=ParitySector.ODD):
+                  sector=ParitySector.ODD, g_B=0.0):
     return ProductSpaceOperator(num_particles=num_particles,
                                 modes_battery=mb, modes_charger=mc,
-                                g_BC=g, omega_C=wc, sector=sector)
+                                g_BC=g, g_B=g_B, omega_C=wc, sector=sector)
 
 
 def sector_basis_map(op, sector):
@@ -184,27 +184,29 @@ def test_work_walk_raises_on_energy_drift(monkeypatch):
 @settings(derandomize=True, deadline=None, max_examples=25)
 @given(num_particles=st.sampled_from([1, 2]), mb=st.integers(4, 7),
        mc=st.integers(4, 7), g=st.floats(0.02, 0.5), wc=st.floats(0.5, 3.5),
-       sector=st.sampled_from([ParitySector.ODD, ParitySector.EVEN]))
+       sector=st.sampled_from([ParitySector.ODD, ParitySector.EVEN]),
+       g_B=st.sampled_from([0.0, -0.5, 3.0]))
 def test_operator_agrees_with_odd_sector_pipeline(num_particles, mb, mc, g,
-                                                  wc, sector):
+                                                  wc, sector, g_B):
     op = make_operator(num_particles=num_particles, mb=mb, mc=mc, g=g, wc=wc,
-                       sector=sector)
+                       sector=sector, g_B=g_B)
     basis, sel = sector_basis_map(op, sector)
     # the operator's entries are the sector's pairs, each once
     np.testing.assert_array_equal(np.sort(sel), np.arange(basis.size))
-    hs = build_hamiltonian_set(basis, g_B=0.0, g_BC=g)
+    hs = build_hamiltonian_set(basis, g_B=g_B, g_BC=g)
     np.testing.assert_allclose(op.dense(), hs.h1[np.ix_(sel, sel)], rtol=0,
                                atol=1e-12)
     level = 1 if sector is ParitySector.ODD else 2
     sim = QuenchSimulation(SimulationConfig(
-        num_particles=num_particles, omega_C=wc, g_BC=g, modes_battery=mb,
-        modes_charger=mc, charger_level=level, sector=sector))
+        num_particles=num_particles, omega_C=wc, g_BC=g, g_B=g_B,
+        modes_battery=mb, modes_charger=mc, charger_level=level,
+        sector=sector))
     times = np.linspace(0.0, 30.0, 7)
     np.testing.assert_allclose(propagate_work_series(op, times, level),
                                sim.work_series(times), rtol=0, atol=1e-9)
 
 
-def test_operator_rejects_interacting_battery_misuse():
+def test_operator_rejects_bad_counts_and_unknown_method():
     with pytest.raises(ConfigError):
         ProductSpaceOperator(num_particles=0, modes_battery=4,
                              modes_charger=4, g_BC=0.1)
