@@ -2,10 +2,14 @@
 fine-tuning of transfer resonances, and cutoff-convergence checks.
 
 Every scan point runs the full pipeline independently, so one failed point
-never aborts a sweep; failures land in the row's error column.  Output is
-deterministic: CSV cells use shortest-roundtrip float formatting and the
-manifest carries no timestamps, so identical configs produce bit-identical
-files.
+never aborts a sweep; failures land in the row's error column.  Scans with
+workers > 1 and the resonance search (one worker per core) run their points
+on a thread pool, each worker on cores // workers BLAS threads at most
+(``lapack.blas_thread_budget``).  Output is deterministic: CSV cells use
+shortest-roundtrip float formatting and the manifest carries no timestamps,
+so the same config at the same BLAS setting produces bit-identical files.
+A pool's points run on fewer BLAS threads than a serial run's, which can
+move the last digits against workers=1.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .dynamics import QuenchSimulation, SimulationConfig
 from .errors import ConfigError, HorizonWarning, NoTransferError
 from .krylov import ProductSpaceOperator, work_walk
 from .thermo import _XTOL, golden_section_max, qsl_numeric
-from . import tlm
+from . import lapack, tlm
 
 __all__ = [
     "ScanConfig",
@@ -74,8 +78,10 @@ class ScanConfig:
             raise ConfigError("grid must be a non-empty 1-D sequence")
         if vals.size > 1 and np.any(np.diff(vals) <= 0):
             raise ConfigError("grid must be strictly ascending")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        if not isinstance(self.workers, int) or isinstance(self.workers, bool) \
+                or self.workers < 1:
+            raise ConfigError(
+                f"workers must be an integer >= 1, not {self.workers!r}")
         self.values = tuple(float(v) for v in vals)
 
     def config_at(self, value):
@@ -104,7 +110,12 @@ def _indexed_map(fn, items, workers):
     """Map fn over items, isolating per-item failures.
 
     Returns [(result, error_string)] in item order regardless of the pool's
-    completion order.
+    completion order. More than one item and workers > 1 start a pool of
+    ``workers`` threads under ``lapack.blas_thread_budget``, set from this
+    thread before the pool starts and restored after it drains. A map
+    called from inside a pool worker runs serially in that worker, so a
+    pool never starts another, and the worker keeps its pool's size for
+    ``lapack.check_memory``.
     """
 
     def run(i):
@@ -113,10 +124,32 @@ def _indexed_map(fn, items, workers):
         except Exception as exc:  # per-point isolation is the contract
             return None, f"{type(exc).__name__}: {exc}"
 
-    if workers <= 1 or len(items) <= 1:
+    def pooled(i):
+        lapack.join_pool(workers)
+        return run(i)
+
+    if workers <= 1 or len(items) <= 1 or lapack.pool_size() > 1:
         return [run(i) for i in range(len(items))]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, range(len(items))))
+    with lapack.blas_thread_budget(workers):
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(pooled, range(len(items))))
+
+
+def _map_or_raise(fn, items, workers):
+    """[fn(item) for item in items] through _indexed_map, raising the first
+    item's exception again in this thread."""
+
+    def attempt(item):
+        try:
+            return fn(item), None
+        except Exception as exc:  # raised below, with its type intact
+            return None, exc
+
+    results = [result for result, _ in _indexed_map(attempt, items, workers)]
+    for _, exc in results:
+        if exc is not None:
+            raise exc
+    return [value for value, _ in results]
 
 
 def _nan_row(keys):
@@ -241,7 +274,10 @@ def find_resonance_peaks(window, config, xtol=1e-5, seed_radius=0.08,
     (_SEED_POINTS - 1), so a resonance seen by two seeds is gridded and
     refined once. golden_section_max (Brent's method) refines every
     interior local maximum of a grid between its grid neighbours, each
-    step a full simulation. A grid edge is never a
+    step a full simulation. Both phases, every grid point of every
+    interval and then every refinement, run on a pool of one worker per
+    core through _indexed_map (serially when called from a pool worker);
+    an error in any point is raised again here. A grid edge is never a
     candidate, and a refinement that ends within xtol of its bracket edge
     is dropped: both are flanks of a resonance centred elsewhere. Peaks
     below min_ratio are dropped, and peaks closer than 1e-3 are
@@ -283,32 +319,48 @@ def find_resonance_peaks(window, config, xtol=1e-5, seed_radius=0.08,
             intervals.append([a, b])
 
     step = 2 * seed_radius / (_SEED_POINTS - 1)
-    peaks = []
+    grids = []
     for a, b in intervals:
         if b - a < 4 * xtol:
             continue
         # a lone bracket, clipped or not, keeps _SEED_POINTS points; the
         # slack keeps rounding from adding one to an unclipped bracket
         points = max(_SEED_POINTS, int(np.ceil((b - a) / step - 1e-9)) + 1)
-        grid = np.linspace(a, b, points)
+        grids.append(np.linspace(a, b, points))
+
+    # the grids share no point and the brackets no interior, so each phase
+    # builds the same simulations in any order
+    workers = lapack.cores()
+    _map_or_raise(evaluate, [w for grid in grids for w in grid], workers)
+    brackets = []
+    for grid in grids:
         vals = [evaluate(w)[0] for w in grid]
-        for i in range(1, len(grid) - 1):
-            if not vals[i - 1] < vals[i] >= vals[i + 1]:
-                continue
-            left, right = grid[i - 1], grid[i + 1]
-            if right - left < 2 * xtol:
-                x = grid[i]
-            else:
-                x, _ = golden_section_max(lambda w: evaluate(w)[0], left,
-                                          right, xtol=xtol)
-                if min(x - left, right - x) < xtol:
-                    continue
-            ratio, summary = evaluate(x)
-            if summary is None or ratio < min_ratio:
-                continue
-            peaks.append(ResonancePeak(omega_C=float(x), ratio=float(ratio),
-                                       t_max=summary.t_max,
-                                       power=summary.power))
+        brackets += [(grid[i - 1], grid[i], grid[i + 1])
+                     for i in range(1, len(grid) - 1)
+                     if vals[i - 1] < vals[i] >= vals[i + 1]]
+
+    def refine(bracket):
+        left, x, right = bracket
+        if right - left >= 2 * xtol:
+            x, _ = golden_section_max(lambda w: evaluate(w)[0], left, right,
+                                      xtol=xtol)
+            if min(x - left, right - x) < xtol:
+                return None
+        return x
+
+    # longest first, so a short refinement runs last: a step's t_max
+    # search costs more the later the first maximum (t_max at the bracket's
+    # grid maximum, which transfers, so its summary exists)
+    brackets.sort(key=lambda bracket: -evaluate(bracket[1])[1].t_max)
+    peaks = []
+    for x in _map_or_raise(refine, brackets, workers):
+        if x is None:
+            continue
+        ratio, summary = evaluate(x)
+        if summary is None or ratio < min_ratio:
+            continue
+        peaks.append(ResonancePeak(omega_C=float(x), ratio=float(ratio),
+                                   t_max=summary.t_max, power=summary.power))
 
     deduped = []
     for p in sorted(peaks, key=lambda p: -p.ratio):

@@ -14,6 +14,14 @@ they slowed numpy's GEMMs between solves about twofold.) Where that symbol
 is missing, scipy's ``cython_lapack`` capsule supplies the pointer. Either
 is resolved on first use, not at import.
 
+The same scope exports OpenBLAS's process-wide thread-count getter and
+setter. ``blas_thread_budget`` uses them so that a pool of W worker
+threads runs at most cores // W BLAS threads each; where they are missing
+it changes nothing. (``openblas_set_num_threads_local`` is no help: in
+numpy's bundled OpenBLAS 0.3.31 it calls the process-wide setter and
+stores into a plain global, so a per-worker set-and-restore would race.)
+``check_memory`` counts one solve per worker of the pool that is running.
+
 To Fortran a C-order buffer is the transposed matrix, so uplo = "L" reads
 the upper triangle of a symmetric buffer: on an exactly symmetric matrix
 the data numpy reads. With the same workspace query the eigenpairs are bit
@@ -23,9 +31,11 @@ and a tiled transpose in place turns them into columns.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import os
+import threading
 
 import numpy as np
 
@@ -34,13 +44,26 @@ from .errors import ConfigError, NumericalBreakdownError
 _TILE = 256     # side of the square tiles swapped by _transpose_in_place
 # dsyevd with 64-bit integers in numpy's wheels (numpy 2, numpy 1.2x)
 _NUMPY_SYMBOLS = ("scipy_dsyevd_64_", "dsyevd_64_")
+# OpenBLAS's process-wide thread count in numpy's wheels (numpy 2)
+_THREAD_SYMBOLS = ("scipy_openblas_get_num_threads64_",
+                   "scipy_openblas_set_num_threads64_")
+
+_pool = threading.local()   # .size: workers of the pool this thread serves
+
+
+@functools.cache
+def _numpy_scope():
+    """The symbol scope of numpy's linalg extension, or None."""
+    try:
+        return ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except OSError:
+        return None
 
 
 def _numpy_dsyevd():
     """Address of dsyevd in numpy's ILP64 LAPACK, or None."""
-    try:
-        scope = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    except OSError:
+    scope = _numpy_scope()
+    if scope is None:
         return None
     for name in _NUMPY_SYMBOLS:
         function = getattr(scope, name, None)
@@ -106,15 +129,67 @@ def _physical_memory():
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+def pool_size():
+    """Workers of the pool the calling thread serves; 1 outside a pool."""
+    return getattr(_pool, "size", 1)
+
+
+def join_pool(size):
+    """Mark the calling worker thread as one of a pool of ``size``."""
+    _pool.size = size
+
+
 def check_memory(n):
-    """Raise ConfigError when an n x n solve needs more bytes than the
-    machine's physical memory."""
-    need, have = solve_bytes(n), _physical_memory()
+    """Raise ConfigError when the n x n solves that the running pool can
+    hold at once, one per worker, need more bytes than the machine's
+    physical memory."""
+    workers = pool_size()
+    need, have = workers * solve_bytes(n), _physical_memory()
     if need > have:
         raise ConfigError(
             f"dense eigensolve at dimension {n} needs {need} bytes "
-            f"({need / 2**30:.1f} GiB), more than the {have} bytes of "
-            "physical memory")
+            f"({need / 2**30:.1f} GiB) for {workers} concurrent "
+            f"solve(s), more than the {have} bytes of physical memory")
+
+
+def cores():
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+@functools.cache
+def _blas_threads():
+    """(get, set) for OpenBLAS's process-wide thread count, or None."""
+    scope = _numpy_scope()
+    functions = [getattr(scope, name, None) for name in _THREAD_SYMBOLS]
+    if scope is None or None in functions:
+        return None
+    get, set_ = functions
+    get.restype, get.argtypes = ctypes.c_int, []
+    set_.restype, set_.argtypes = None, [ctypes.c_int]
+    return get, set_
+
+
+@contextlib.contextmanager
+def blas_thread_budget(workers):
+    """Run the body, a pool of ``workers`` threads, with the BLAS thread
+    count at max(1, min(current, cores() // workers)), restored after.
+
+    Call it from the thread that starts the pool, before the pool starts:
+    the count is process-wide. It never rises above the current count, so
+    OPENBLAS_NUM_THREADS stays the ceiling. A no-op where numpy's OpenBLAS
+    does not export the thread-count symbols."""
+    symbols = _blas_threads()
+    if symbols is None:
+        yield
+        return
+    get, set_ = symbols
+    before = get()
+    set_(max(1, min(before, cores() // workers)))
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def _transpose_in_place(a):

@@ -3,15 +3,17 @@
 import dataclasses
 import json
 import math
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
-from qbattery import experiments
+from qbattery import experiments, lapack
 from qbattery.basis import ParitySector
 from qbattery.dynamics import QuenchSimulation, SimulationConfig
-from qbattery.errors import ConfigError, HorizonWarning, NoTransferError
+from qbattery.errors import (ConfigError, HorizonWarning, NoTransferError,
+                             NumericalBreakdownError)
 from qbattery.experiments import (RATIO_CAP, ResonancePeak, ScanConfig,
                                   convergence_check, degeneracy_seeds,
                                   emit_plot_script, find_resonance_peaks,
@@ -39,6 +41,10 @@ def test_scan_config_validation():
         ScanConfig("omega_C", (2.0, 1.0), cfg)
     with pytest.raises(ConfigError):
         ScanConfig("omega_C", (1.0, 2.0), cfg, workers=0)
+    for workers in (1.5, True, "2", 2.0, None):
+        with pytest.raises(ConfigError, match="workers must be an integer"):
+            ScanConfig("omega_C", (1.0, 2.0), cfg, workers=workers)
+    assert ScanConfig("omega_C", (1.0, 2.0), cfg, workers=3).workers == 3
     scan = ScanConfig("omega_C", np.array([0.9, 1.0, 1.1]), cfg)
     assert scan.values == (0.9, 1.0, 1.1)
     assert isinstance(scan.values[0], float)
@@ -191,8 +197,9 @@ def test_narrow_window_keeps_seed_grid(monkeypatch):
 
     monkeypatch.setattr(experiments, "QuenchSimulation", CountingSimulation)
     peaks = find_resonance_peaks(window, cfg, min_ratio=0.05)
+    # the grid points run on a pool, so they are built in any order
     np.testing.assert_allclose(
-        built[:experiments._SEED_POINTS],
+        sorted(built[:experiments._SEED_POINTS]),
         np.linspace(*window, experiments._SEED_POINTS), rtol=0, atol=1e-12)
     assert len(peaks) == 1, peaks
     assert abs(peaks[0].omega_C - 3.078) < 1e-3 and peaks[0].ratio > 0.05
@@ -224,12 +231,80 @@ def test_overlapping_seed_brackets_share_one_grid(monkeypatch):
     spacing = 2 * radius / (experiments._SEED_POINTS - 1)
     points = int(np.ceil((b - a) / spacing)) + 1
     assert points < 2 * experiments._SEED_POINTS
-    np.testing.assert_allclose(built[:points], np.linspace(a, b, points),
-                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(sorted(built[:points]),
+                               np.linspace(a, b, points), rtol=0, atol=1e-12)
     assert len(built) == len(set(built))
     assert len(refined) == 1
     assert all(refined[0][0] <= w <= refined[0][1] for w in built[points:])
     assert len(peaks) == 1 and peaks[0].ratio > 0.95
+
+
+@pytest.fixture
+def one_blas_thread():
+    """Pins numpy's BLAS at one thread, so a pool's points and a serial
+    run's round off alike."""
+    symbols = lapack._blas_threads()
+    if symbols is None:
+        yield
+        return
+    get, set_ = symbols
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+def test_pooled_resonance_search_matches_serial(monkeypatch, one_blas_thread):
+    # two windows: three refined maxima in one, a single one in the other
+    built, lock = [], threading.Lock()
+
+    class CountingSimulation(QuenchSimulation):
+        def __init__(self, config):
+            with lock:
+                built.append(config.omega_C)
+            super().__init__(config)
+
+    monkeypatch.setattr(experiments, "QuenchSimulation", CountingSimulation)
+    cases = [((2.5, 3.5), base_config(num_particles=2, g_B=3.0,
+                                      modes_battery=6, modes_charger=6,
+                                      target_n=3), 0.05),
+             ((0.8, 1.2), base_config(num_particles=2), 0.5)]
+    runs = {}
+    for cores in (1, 2):
+        monkeypatch.setattr(lapack, "cores", lambda: cores)
+        built.clear()
+        peaks = [find_resonance_peaks(window, cfg, min_ratio=min_ratio)
+                 for window, cfg, min_ratio in cases]
+        runs[cores] = (peaks, sorted(built))
+    assert len(runs[1][0][0]) >= 2 and len(runs[1][0][1]) == 1
+    assert runs[2] == runs[1]
+
+
+def test_resonance_search_raises_a_worker_error(monkeypatch):
+    def broken(config):
+        raise NumericalBreakdownError(f"no build at {config.omega_C}")
+
+    monkeypatch.setattr(experiments, "QuenchSimulation", broken)
+    monkeypatch.setattr(lapack, "cores", lambda: 2)
+    with pytest.raises(NumericalBreakdownError, match="no build"):
+        find_resonance_peaks((2.5, 3.5), base_config(
+            num_particles=2, g_B=3.0, modes_battery=6, modes_charger=6))
+
+
+def test_memory_guard_counts_one_solve_per_worker(monkeypatch):
+    cfg = base_config()
+    need = lapack.solve_bytes(cfg.cutoff_model().basis.size)
+    monkeypatch.setattr(lapack, "_physical_memory", lambda: 2 * need)
+    grid = (0.9, 0.95, 1.0, 1.05)
+    rows = spectrum_scan(ScanConfig("omega_C", grid, cfg, workers=1))
+    assert all(row["error"] == "" for row in rows)
+    rows = spectrum_scan(ScanConfig("omega_C", grid, cfg, workers=4))
+    assert all(row["error"].startswith(
+        f"ConfigError: dense eigensolve at dimension "
+        f"{cfg.cutoff_model().basis.size} needs {4 * need} bytes")
+        for row in rows), rows
 
 
 def test_power_scan_matches_two_level_power(tmp_path):
