@@ -31,7 +31,7 @@ into that basis (one GEMM per battery parity, about (D_B / 2) D^2; none at
 g_B = 0, where the Fock basis already is the eigenbasis), and
 W_B(t) = (eps - eps_0) . (re^2 + im^2) on the turned rows, O(D T).
 
-summarize prunes the t_max search (thermo.find_t_max) with a bound S on
+peak() prunes the t_max search (thermo.find_t_max) with a bound S on
 |dW_B/dt|, computed once per simulation (_work_slope). The search reads
 W_B on every 16th of its 1201 grid points, then on the points whose slope
 bound can still reach the near-peak threshold: about 250 points instead
@@ -77,6 +77,7 @@ _IMAG_TOL = 1e-10        # imaginary residue of a real-operator expectation
 _NORM_TOL = 1e-10        # | |psi(t)| - 1 | per column
 _ENERGY_RTOL = 1e-8      # E_total drift, relative to max(1, |E_total(0)|)
 _SLOPE_TAIL = 1e-12      # share of |c0|^2 whose W_B slope terms are bounded
+_STATES_BYTES = 64       # states_at bytes per block entry, peak
 # Horizon in QSL estimates: the variance bound undershoots the peak time by
 # up to a factor of two at weak coupling.
 _SPAN_FACTOR = 3.0
@@ -297,17 +298,22 @@ class QuenchSimulation:
         self.battery_h = model.battery
         lapack.check_memory(self.basis.size)
         h1, self.h0, self.hint = quench_hamiltonians(
-            self.basis, model.battery_csr, config.g_BC)
+            self.basis, model, config.g_BC)
         self.spectral = SpectralDecomposition.from_matrix(h1)
         self.state0 = initial_state(self.basis, self.battery_h,
                                     charger_level=config.charger_level)
         # H1 and psi(0) are real, so V and c0 are too
         psi0 = self.state0.amplitudes.real[:, None]
         self._coeff0 = self.spectral.vectors.T @ psi0[:, 0]
+
+    @functools.cached_property
+    def _initial_energies(self):
+        """(<H0>, <H0> + <Hint>) in psi(0): the read-out's reference for
+        W_irr and for the E_total drift guard. peak() needs neither."""
+        psi0 = self.state0.amplitudes.real[:, None]
         zero = np.zeros_like(psi0)
-        self._h0_initial = float(_expect(self.h0, psi0, zero)[0])
-        self._energy0 = self._h0_initial + float(
-            _expect(self.hint, psi0, zero)[0])
+        h0 = float(_expect(self.h0, psi0, zero)[0])
+        return h0, h0 + float(_expect(self.hint, psi0, zero)[0])
 
     @functools.cached_property
     def _work_rows(self):
@@ -405,9 +411,21 @@ class QuenchSimulation:
         return QuantumState(amplitudes=re[:, 0] + 1j * im[:, 0], time=t)
 
     def states_at(self, times):
-        """Batched reconstruction, one column per time."""
-        re, im = self._block(self.spectral.vectors,
-                             np.asarray(times, dtype=float))
+        """Batched reconstruction, one column per time, in one D x T block.
+
+        Raises ConfigError before allocating when the block's arrays (the
+        two phase and two state blocks, 8 bytes an entry each, and the
+        complex result with its temporary, 16 each) exceed physical
+        memory."""
+        times = np.asarray(times, dtype=float)
+        need = _STATES_BYTES * self.basis.size * times.size
+        have = lapack._physical_memory()
+        if need > have:
+            raise ConfigError(
+                f"states_at block of {self.basis.size} x {times.size} needs "
+                f"{need} bytes, more than the {have} bytes of physical "
+                "memory; ask for fewer times at once")
+        re, im = self._block(self.spectral.vectors, times)
         return re + 1j * im
 
     def work_series(self, times):
@@ -445,13 +463,14 @@ class QuenchSimulation:
         bat = self.battery_h
         vbt = bat.eigenvectors.T
         gaps = bat.eigenvalues - bat.ground_energy
-        tol = _ENERGY_RTOL * max(1.0, abs(self._energy0))
+        h0_initial, energy0 = self._initial_energies
+        tol = _ENERGY_RTOL * max(1.0, abs(energy0))
         for part in _chunks(times.size):
             re, im = self._block(self.spectral.vectors, times[part])
             h0_now = _expect(self.h0, re, im)
             e_int = _expect(self.hint, re, im)
             e_total = h0_now + e_int
-            drift = float(np.abs(e_total - self._energy0).max())
+            drift = float(np.abs(e_total - energy0).max())
             if drift > tol:
                 raise NumericalBreakdownError(
                     f"total energy drifted by {drift:.3e} during propagation")
@@ -464,7 +483,7 @@ class QuenchSimulation:
             out["S_B"][part] = [thermo.von_neumann_entropy(lam)
                                 for lam in spectra]
             out["E_int"][part] = e_int
-            out["W_irr"][part] = h0_now - self._h0_initial
+            out["W_irr"][part] = h0_now - h0_initial
             out["E_total"][part] = e_total
         return out
 
@@ -490,15 +509,21 @@ class QuenchSimulation:
         """points samples over [0, _SPAN_FACTOR * QSL estimate]."""
         return np.linspace(0.0, self._horizon(), points)
 
-    def summarize(self):
-        """Charging summary at the first stored-work maximum, with every
-        observable read out at t_max. The t_max search skips the grid
-        points that _work_slope proves cannot change its pick."""
+    def peak(self):
+        """t_max, W_B(t_max) and power at the first stored-work maximum,
+        without the read-out: a ChargingSummary whose other fields are
+        None. The t_max search skips the grid points that _work_slope
+        proves cannot change its pick."""
         # W_B's round-off budget: the norm guard's tolerance on its
         # largest diagonal term
         pad = _NORM_TOL * float(self._work_rows[1].max())
-        s = thermo.find_t_max(self.work_series, self._horizon(),
-                              slope=self._work_slope, pad=pad)
+        return thermo.find_t_max(self.work_series, self._horizon(),
+                                 slope=self._work_slope, pad=pad)
+
+    def summarize(self):
+        """Charging summary at the first stored-work maximum: peak(), with
+        every observable read out at t_max."""
+        s = self.peak()
         obs = self.observables_at(s.t_max)
         return dataclasses.replace(
             s, ergotropy=obs["ergotropy"], entropy=obs["S_B"],

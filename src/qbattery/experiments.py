@@ -26,7 +26,8 @@ import numpy as np
 
 from .basis import ParitySector
 from .dynamics import QuenchSimulation, SimulationConfig
-from .errors import ConfigError, HorizonWarning, NoTransferError
+from .errors import (ConfigError, CutoffWarning, HorizonWarning,
+                     NoTransferError)
 from .krylov import ProductSpaceOperator, work_walk
 from .thermo import _XTOL, golden_section_max, qsl_numeric
 from . import lapack, tlm
@@ -274,7 +275,11 @@ def find_resonance_peaks(window, config, xtol=1e-5, seed_radius=0.08,
     (_SEED_POINTS - 1), so a resonance seen by two seeds is gridded and
     refined once. golden_section_max (Brent's method) refines every
     interior local maximum of a grid between its grid neighbours, each
-    step a full simulation. Both phases, every grid point of every
+    step a full simulation. A refinement starts from the grid triple, the
+    maximum and both neighbours, all built already, so its first step is
+    the vertex of the parabola through them. A build yields only its
+    QuenchSimulation.peak(): t_max, W_B and power are all a peak needs, so
+    no observable is read out. Both phases, every grid point of every
     interval and then every refinement, run on a pool of one worker per
     core through _indexed_map (serially when called from a pool worker);
     an error in any point is raised again here. A grid edge is never a
@@ -295,7 +300,7 @@ def find_resonance_peaks(window, config, xtol=1e-5, seed_radius=0.08,
             cfg = dataclasses.replace(config, omega_C=key)
             sim = QuenchSimulation(cfg)
             try:
-                s = sim.summarize()
+                s = sim.peak()
             except NoTransferError:
                 cache[key] = (0.0, None)
             else:
@@ -342,8 +347,10 @@ def find_resonance_peaks(window, config, xtol=1e-5, seed_radius=0.08,
     def refine(bracket):
         left, x, right = bracket
         if right - left >= 2 * xtol:
-            x, _ = golden_section_max(lambda w: evaluate(w)[0], left, right,
-                                      xtol=xtol)
+            ratio = [evaluate(w)[0] for w in bracket]
+            x, _ = golden_section_max(
+                lambda w: evaluate(w)[0], left, right, xtol=xtol,
+                start=(x, ratio[1], ratio[0], ratio[2]))
             if min(x - left, right - x) < xtol:
                 return None
         return x
@@ -481,7 +488,11 @@ def wirr_scan(scan: ScanConfig):
 def _tune_peak(peak, omega, tune):
     """(W_B at first maximum, omega used, t_max) from a per-omega
     ``peak(omega) -> (W, t)``, optionally re-centering omega_C on the local
-    peak of W(omega) with a parabola through omega + (-1, 0, 1) _TUNE_SPAN."""
+    peak of W(omega) with a parabola through omega + (-1, 0, 1) _TUNE_SPAN.
+
+    The re-centred omega_C stays within 2 _TUNE_SPAN of ``omega``; a vertex
+    farther out is clipped to that, with a CutoffWarning, since W there is
+    on a flank of the resonance rather than at its peak."""
     w0, t0 = peak(omega)
     if not tune:
         return w0, omega, t0
@@ -490,8 +501,14 @@ def _tune_peak(peak, omega, tune):
     values = np.array([w for w, _ in runs])
     coeffs = np.polyfit(offsets, values, 2)
     if coeffs[0] < 0:
-        vertex = float(np.clip(-coeffs[1] / (2 * coeffs[0]), -2 * _TUNE_SPAN,
-                               2 * _TUNE_SPAN))
+        raw = -coeffs[1] / (2 * coeffs[0])
+        vertex = float(np.clip(raw, -2 * _TUNE_SPAN, 2 * _TUNE_SPAN))
+        if vertex != raw:
+            warnings.warn(
+                f"tuning parabola peaks at omega_C = {omega + raw:.9g}, "
+                f"{abs(raw):.3g} from {omega:.9g}; clipped to omega_C = "
+                f"{omega + vertex:.9g}, which may sit on a flank of the "
+                "resonance", CutoffWarning, stacklevel=3)
     else:
         vertex = float(offsets[np.argmax(values)])
     wv, tv = peak(omega + vertex)
@@ -505,7 +522,7 @@ def _tune_peak(peak, omega, tune):
 def _dense_peak(cfg, omega):
     """(W_B, t_max) at the first stored-work maximum, dense pipeline."""
     sim = QuenchSimulation(dataclasses.replace(cfg, omega_C=float(omega)))
-    s = sim.summarize()
+    s = sim.peak()
     return s.stored_work, s.t_max
 
 

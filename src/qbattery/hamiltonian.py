@@ -24,9 +24,12 @@ applies G's node factors without multiplying them out.
 
 What does not depend on omega_C or g_BC is built once per cutoff and
 cached (``cutoff_model``): the sector basis, the battery Hamiltonian with
-its eigendecomposition, and H_B (x) 1_C on the sector as CSR. A quench
-build (``quench_hamiltonians``) then adds the charger diagonal to get H0 as
-CSR and fills one dense buffer with H1 = Hint + H0 for the eigensolver.
+its eigendecomposition, H_B (x) 1_C on the sector as CSR, and the layout
+of G's blocks with Hint's CSR pattern (``HintLayout``). A quench build
+(``quench_hamiltonians``) then computes the node values and Gram blocks
+into one dense buffer, gathers Hint's CSR data from it on the cached
+pattern, adds the charger diagonal to get H0 as CSR, and adds H0 into the
+buffer to form H1 = Hint + H0 for the eigensolver.
 """
 
 from __future__ import annotations
@@ -69,20 +72,33 @@ def _raising_table(states):
     return up, amp, list(lowered)
 
 
-def _gram(dim, blocks, parity):
-    """Dense F^T F for a factor F given block by block.
+def _block_positions(cols, dim):
+    """Flat positions in a dim x dim buffer of the block on ``cols``."""
+    return (cols[:, None] * dim + cols[None, :]).ravel()
 
-    Each block is (cols, part): a set of rows of F that are zero outside the
-    n distinct columns ``cols``, restricted to those columns and transposed
-    to shape (n, rows).  Entries between opposite parities vanish
-    analytically, but the node sum does not pair +x_q with -x_q and leaves
-    round-off (~1e-17) there, so they are set to exact zeros.
+
+def _parity_mask(parity, cols):
+    """Entries of the block on ``cols`` that pair opposite parities."""
+    return parity[cols][:, None] != parity[cols][None, :]
+
+
+def _gram(dim, blocks):
+    """Dense F^T F for a factor F given block by block, added in order.
+
+    Each block is (cols, part, mask): a set of rows of F that are zero
+    outside the n distinct columns ``cols``, restricted to those columns
+    and transposed to shape (n, rows), and the entries of its n x n Gram
+    block between opposite parities (None when there are none). Those
+    vanish analytically, but the node sum does not pair +x_q with -x_q and
+    leaves round-off (~1e-17) there, so they are set to exact zeros.
     """
     out = np.zeros((dim, dim))
-    for cols, part in blocks:
+    flat = out.reshape(-1)
+    for cols, part, mask in blocks:
         gram = part @ part.T
-        gram[parity[cols][:, None] != parity[cols][None, :]] = 0.0
-        out[np.ix_(cols, cols)] += gram
+        if mask is not None:
+            gram[mask] = 0.0
+        flat[_block_positions(cols, dim)] += gram.ravel()
     return out
 
 
@@ -104,8 +120,9 @@ def _battery_matrix(states, g_B, omega_B):
     coef = amp2[:, i] * amp1[twice[:, i], j] * np.where(i < j, 2.0, 1.0)
     nodes = phi[i] * phi[j] * np.sqrt(weights)
     parity = np.array([fock_parity(s) for s in states])
-    blocks = ((cols, nodes * c[:, None]) for cols, c in zip(targets, coef))
-    return h + 0.5 * g_B * _gram(len(states), blocks, parity)
+    blocks = ((cols, nodes * c[:, None], _parity_mask(parity, cols))
+              for cols, c in zip(targets, coef))
+    return h + 0.5 * g_B * _gram(len(states), blocks)
 
 
 @dataclass
@@ -223,25 +240,80 @@ def assemble_H0(basis, g_B, omega_B=None, omega_C=None):
                       wc).toarray()
 
 
-def assemble_Hint(basis, g_BC, omega_B=None, omega_C=None):
+@dataclass(frozen=True)
+class HintLayout:
+    """Where the node products of Hint = g_BC G^T G go on one sector basis;
+    none of it depends on omega_C or g_BC.
+
+    ``rows`` and ``scale`` list the rows of G's blocks, blocks concatenated:
+    the node row k M_C + c of each and its raising-table amplitude. ``blocks`` holds, per lowered battery state, the slice
+    of those rows, the sector columns they touch and the Gram entries
+    between opposite composite parities (None in a parity sector, which
+    has none). ``indptr`` and ``indices`` are Hint's CSR pattern: every
+    position some block fills. The arrays are read-only.
+    """
+
+    rows: np.ndarray
+    scale: np.ndarray
+    blocks: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
+
+
+def _frozen(arr):
+    arr.flags.writeable = False
+    return arr
+
+
+def hint_layout(basis):
+    """The HintLayout of a sector basis, from its raising table and
+    composite parity vector."""
+    dim, mc = basis.size, basis.charger.num_modes
+    up, amp, _ = _raising_table(basis.battery_states)
+    # G's rows for lowered state l: sqrt(w_q) phi_k(x_q) amp[l, k] chi_c(x_q)
+    # in column (up[l, k], c), kept where that pair lies in the sector
+    cols = basis.index_matrix[up].reshape(len(up), -1)
+    scale = np.repeat(amp, mc, axis=1)
+    parity = composite_parity_vector(basis)
+    filled = np.zeros(dim * dim, dtype=bool)
+    rows, scales, blocks, start = [], [], [], 0
+    for l, live in enumerate(cols >= 0):
+        node_rows = np.flatnonzero(live)
+        kept = _frozen(cols[l, node_rows])
+        mask = _parity_mask(parity, kept)
+        filled[_block_positions(kept, dim)[~mask.ravel()]] = True
+        blocks.append((slice(start, start + kept.size), kept,
+                       _frozen(mask) if mask.any() else None))
+        rows.append(node_rows)
+        scales.append(scale[l, node_rows])
+        start += kept.size
+    gather = np.flatnonzero(filled)
+    return HintLayout(
+        rows=_frozen(np.concatenate(rows)),
+        scale=_frozen(np.concatenate(scales)), blocks=tuple(blocks),
+        indptr=_frozen(np.searchsorted(
+            gather, np.arange(dim + 1) * dim).astype(np.int32)),
+        indices=_frozen((gather % dim).astype(np.int32)))
+
+
+def assemble_Hint(basis, g_BC, omega_B=None, omega_C=None, layout=None):
     """Contact battery-charger coupling on the composite sector basis,
-    dense."""
+    dense: g_BC times the Gram blocks of ``layout``, the basis's
+    HintLayout (built here when not given), in the order of the lowered
+    states."""
     wb, wc = _resolve_freqs(basis, omega_B, omega_C)
     dim = basis.size
     if g_BC == 0.0:
         return np.zeros((dim, dim))
+    if layout is None:
+        layout = hint_layout(basis)
     mb, mc = basis.battery.num_modes, basis.charger.num_modes
     weights, phi, chi = contact_nodes(mb, mc, wb, wc)
-    up, amp, _ = _raising_table(basis.battery_states)
-    # G's rows for lowered state l: sqrt(w_q) phi_k(x_q) amp[l, k] chi_c(x_q)
-    # in column (up[l, k], c), kept where that pair lies in the sector
     nodes = (phi[:, None, :] * chi[None, :, :] * np.sqrt(weights)
              ).reshape(mb * mc, -1)
-    cols = basis.index_matrix[up].reshape(len(up), -1)
-    scale = np.repeat(amp, mc, axis=1)
-    blocks = ((cols[l, live], nodes[live] * scale[l, live, None])
-              for l, live in enumerate(cols >= 0))
-    out = _gram(dim, blocks, composite_parity_vector(basis))
+    parts = nodes[layout.rows] * layout.scale[:, None]
+    out = _gram(dim, ((kept, parts[rows], mask)
+                      for rows, kept, mask in layout.blocks))
     out *= g_BC
     return out
 
@@ -301,20 +373,33 @@ def composite_parity_vector(basis):
     return bat[basis.battery_index] * chg[basis.charger_index]
 
 
-def quench_hamiltonians(basis, battery_csr, g_BC):
-    """(h1, h0, hint) for one quench, frequencies from the basis configs.
+def quench_hamiltonians(basis, model, g_BC):
+    """(h1, h0, hint) for one quench, frequencies from the basis configs and
+    structure from the CutoffModel ``model``.
 
-    H0 and Hint come back as CSR. H1 is the one dense matrix: the Hint Gram
-    buffer from assemble_Hint, with Hint's CSR copy taken first and each
-    entry of H0 then added once (hint + h0, the same float sum as h0 +
-    hint). The caller owns h1 and may overwrite it.
+    H0 and Hint come back as CSR. H1 is the one dense matrix: the Hint
+    buffer from assemble_Hint, with Hint's CSR data gathered from it on
+    the cached pattern first and each entry of H0 then added once (hint +
+    h0, the same float sum as h0 + hint). The caller owns h1 and may
+    overwrite it.
     """
     wb, wc = _resolve_freqs(basis, None, None)
-    h0 = _sector_h0(basis, battery_csr, wc)
-    h1 = assemble_Hint(basis, g_BC, wb, wc)
-    hint = sp.csr_matrix(h1)
-    entries = h0.tocoo()
-    h1[entries.row, entries.col] += entries.data
+    h0 = _sector_h0(basis, model.battery_csr, wc)
+    layout = model.hint_layout
+    h1 = assemble_Hint(basis, g_BC, wb, wc, layout)
+    dim = len(h1)
+    # the flat buffer position of each pattern entry, in CSR order
+    rows = np.repeat(np.arange(dim), np.diff(layout.indptr))
+    data = h1.reshape(-1)[rows * dim + layout.indices]
+    if data.all():
+        hint = sp.csr_matrix((data, layout.indices, layout.indptr),
+                             shape=h1.shape)
+    else:   # drop the zeros, as sp.csr_matrix(h1) would
+        hint = sp.csr_matrix((data, layout.indices.copy(),
+                              layout.indptr.copy()), shape=h1.shape)
+        hint.eliminate_zeros()
+    rows = np.repeat(np.arange(dim), np.diff(h0.indptr))
+    h1[rows, h0.indices] += h0.data
     skew = _max_skew(h1)
     if skew > 1e-12:
         raise AssertionError(f"H1 assembly lost Hermiticity: {skew}")
@@ -326,6 +411,12 @@ class CutoffModel:
     """What every quench build at one cutoff shares: it depends on neither
     omega_C nor g_BC.
 
+    That is the sector basis, the battery Hamiltonian with its
+    eigendecomposition, H_B (x) 1_C on the sector as CSR, and the
+    HintLayout: the Gram block of each lowered battery state and Hint's
+    CSR pattern. A build computes only the node products, their Gram
+    blocks and two gathers.
+
     ``basis.charger.omega`` is that of the build that made the model; a
     build with another omega_C replaces the charger config.
     """
@@ -333,6 +424,7 @@ class CutoffModel:
     basis: CompositeBasis
     battery: BatteryHamiltonian
     battery_csr: sp.csr_matrix      # H_B (x) 1_C on the sector
+    hint_layout: HintLayout
 
 
 _model_cache = {}
@@ -354,7 +446,8 @@ def cutoff_model(battery, charger, g_B, sector, cap):
     bat = assemble_battery_only(battery.num_particles, battery.num_modes,
                                 g_B, battery.omega)
     model = CutoffModel(basis=basis, battery=bat,
-                        battery_csr=embed_battery_operator(basis, bat.matrix))
+                        battery_csr=embed_battery_operator(basis, bat.matrix),
+                        hint_layout=hint_layout(basis))
     with _model_lock:
         _model_cache[key] = model
     return model

@@ -159,7 +159,7 @@ def qsl_numeric(state0, h):
     return variance_to_qsl(var)
 
 
-def golden_section_max(f, a, b, xtol=_XTOL):
+def golden_section_max(f, a, b, xtol=_XTOL, start=None):
     """Maximum of a unimodal function on [a, b]: (x, f(x)), x within xtol
     of the maximizer.
 
@@ -171,11 +171,26 @@ def golden_section_max(f, a, b, xtol=_XTOL):
     than xtol / 3, and the search ends when the best point is within
     2 xtol / 3 of both bracket edges.  The returned x is the best point
     evaluated, so f(x) costs no extra call.
+
+    ``start = (x, fx, fa, fb)`` warm-starts the search from a known
+    bracket triple: an interior point x with f(x) = fx >= max(fa, fb), and
+    f(a) = fa, f(b) = fb. The three points are the first best, second and
+    third points, so the first step is the vertex of the parabola through
+    them (when it lies inside), and none of them is evaluated again.
+    Without ``start`` the first point is the golden section of [a, b].
     """
     tol = xtol / 3.0
-    x = w = v = a + _GOLDEN * (b - a)
-    fx = fw = fv = f(x)
-    step = last = 0.0
+    if start is None:
+        x = w = v = a + _GOLDEN * (b - a)
+        fx = fw = fv = f(x)
+        step = last = 0.0
+    else:
+        x, fx, fa, fb = start
+        if not (a < x < b and fx >= max(fa, fb)):
+            raise ValueError("start needs a < x < b and fx >= max(fa, fb)")
+        (w, fw), (v, fv) = sorted(((a, fa), (b, fb)), key=lambda p: -p[1])
+        # a step before last as long as the bracket admits the vertex
+        step = last = b - a
     while max(x - a, b - x) > 2.0 * tol:
         mid = 0.5 * (a + b)
         parabolic = False
@@ -263,7 +278,14 @@ def find_t_max(work, horizon, slope=math.inf, pad=0.0):
     _COARSE_POINTS over [0, horizon] locates the global maximum; the
     earliest local maximum within _NEAR_PEAK_RTOL of it is refined by
     golden_section_max between its grid neighbours (weak residual
-    oscillations make strictly-first local maxima spurious). While the
+    oscillations make strictly-first local maxima spurious). The pick and
+    its two neighbours are read again in one 3-point call, and when the
+    pick is still the highest of the three, the refinement starts from
+    that triple: its first step is the parabola's vertex. The second read
+    makes the triple's values those of one fixed call, whichever grid
+    batches first read the points (evenly spaced batches take their phases
+    from tables whose round-off depends on the batch), so the pruned and
+    the full grid refine alike. While the
     maximum sits on the end of the grid the horizon doubles, up to
     _MAX_EXTENSIONS times; if it is still there, HorizonWarning names the
     final horizon and the end of the grid is returned as it is. Point
@@ -324,10 +346,17 @@ def find_t_max(work, horizon, slope=math.inf, pad=0.0):
     peaks = interior[is_peak & near]
     pick = int(peaks[0]) if peaks.size else best
 
-    lo = times[max(pick - 1, 0)]
-    hi = times[min(pick + 1, _COARSE_POINTS - 1)]
+    lo, hi = max(pick - 1, 0), min(pick + 1, _COARSE_POINTS - 1)
+    start = None
+    if lo < pick < hi:
+        # read again in one call: a grid value's round-off depends on the
+        # batch that read it, and the pruned and full grids batch apart
+        fa, values[pick], fb = work(times[lo:hi + 1])
+        if values[pick] >= max(fa, fb):
+            start = (times[pick], values[pick], fa, fb)
     t_max, w_max = golden_section_max(
-        lambda t: float(work(np.array([t]))[0]), lo, hi)
+        lambda t: float(work(np.array([t]))[0]), times[lo], times[hi],
+        start=start)
     if w_max < values[pick]:
         t_max, w_max = float(times[pick]), float(values[pick])
 

@@ -325,7 +325,7 @@ def test_sparse_pieces_match_dense_assembly(g_B):
     model = cfg.cutoff_model()
     sim_basis = dataclasses.replace(model.basis, charger=cfg.charger_config())
     h1, h0, hint = hamiltonian.quench_hamiltonians(
-        sim_basis, model.battery_csr, cfg.g_BC)
+        sim_basis, model, cfg.g_BC)
     dense = build_hamiltonian_set(sim_basis, g_B, cfg.g_BC)
     assert np.array_equal(h0.toarray(), dense.h0)
     assert np.array_equal(hint.toarray(), dense.hint)
@@ -405,6 +405,18 @@ def test_memory_guard_refuses_before_allocating(monkeypatch):
     assert peak < 8 * dim * dim
 
 
+def test_states_at_refuses_a_block_larger_than_memory(monkeypatch):
+    sim = QuenchSimulation(small_config(num_particles=2))
+    times = np.linspace(0.0, 10.0, 50)
+    need = dynamics._STATES_BYTES * sim.basis.size * times.size
+    monkeypatch.setattr(lapack, "_physical_memory", lambda: need)
+    assert sim.states_at(times).shape == (sim.basis.size, times.size)
+    monkeypatch.setattr(lapack, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(QuenchSimulation, "_block", lambda *args: 1 / 0)
+    with pytest.raises(ConfigError, match=f"needs {need} bytes"):
+        sim.states_at(times)
+
+
 def exact_slope_terms(sim):
     """|c_k c_l A_kl (E_k - E_l)| with A = rows^T diag(gaps) rows, and the
     Cauchy-Schwarz bounds |c_k c_l| sqrt(A_kk A_ll) |E_k - E_l| on them."""
@@ -448,6 +460,16 @@ def test_work_slope_is_exact_on_the_head_and_cauchy_schwarz_on_the_tail(
     want = np.where(np.outer(head, head), exact, bounds).sum()
     assert QuenchSimulation._work_slope.func(sim) == pytest.approx(
         want, rel=1e-12)
+
+
+def test_peak_is_the_summary_without_the_read_out():
+    sim = QuenchSimulation(small_config(num_particles=2, g_B=3.0,
+                                        omega_C=1.04))
+    peak, summary = sim.peak(), sim.summarize()
+    assert (peak.t_max, peak.stored_work, peak.power) == \
+        (summary.t_max, summary.stored_work, summary.power)
+    assert peak.ergotropy is None and peak.total_energy is None
+    assert summary.ergotropy is not None
 
 
 def test_summarize_prunes_the_grid_to_the_same_pick():

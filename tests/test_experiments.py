@@ -12,8 +12,8 @@ import pytest
 from qbattery import experiments, lapack
 from qbattery.basis import ParitySector
 from qbattery.dynamics import QuenchSimulation, SimulationConfig
-from qbattery.errors import (ConfigError, HorizonWarning, NoTransferError,
-                             NumericalBreakdownError)
+from qbattery.errors import (ConfigError, CutoffWarning, HorizonWarning,
+                             NoTransferError, NumericalBreakdownError)
 from qbattery.experiments import (RATIO_CAP, ResonancePeak, ScanConfig,
                                   convergence_check, degeneracy_seeds,
                                   emit_plot_script, find_resonance_peaks,
@@ -282,6 +282,27 @@ def test_pooled_resonance_search_matches_serial(monkeypatch, one_blas_thread):
     assert runs[2] == runs[1]
 
 
+def test_resonance_search_builds_only_what_it_refines(monkeypatch):
+    # one merged bracket: 15 grid points, then Brent steps that start from
+    # the grid's best point and its neighbours (a cold start took one more);
+    # no build reads an observable, as a peak needs only t_max and W_B
+    built = []
+
+    class CountingSimulation(QuenchSimulation):
+        def __init__(self, config):
+            built.append(config.omega_C)
+            super().__init__(config)
+
+        def observables_at(self, t):
+            raise AssertionError("the resonance search read observables")
+
+    monkeypatch.setattr(experiments, "QuenchSimulation", CountingSimulation)
+    monkeypatch.setattr(lapack, "cores", lambda: 1)
+    peaks = find_resonance_peaks((0.8, 1.2), base_config(num_particles=2))
+    assert len(built) == 20 and len(set(built)) == 20
+    assert len(peaks) == 1 and abs(peaks[0].omega_C - 1.017625) < 1e-5
+
+
 def test_resonance_search_raises_a_worker_error(monkeypatch):
     def broken(config):
         raise NumericalBreakdownError(f"no build at {config.omega_C}")
@@ -423,8 +444,28 @@ def test_benchmark_cutoff_input_raises_no_bracket_warning():
     assert res["modes_high"] == (26, 26)
 
 
-def test_scan_csv_independent_of_worker_count(tmp_path):
-    """Rows come back in grid order with the same bytes for any pool size."""
+def test_tune_peak_warns_when_it_clips_the_vertex():
+    # W(omega) peaks 5e-3 above the start, beyond the 2 _TUNE_SPAN = 2e-3
+    # the re-centring may move
+    span = experiments._TUNE_SPAN
+
+    def peak(omega):
+        return 1.0 - (omega - 2.005) ** 2, 10.0 + omega
+
+    with pytest.warns(CutoffWarning, match=r"clipped to omega_C = 2\.002"):
+        w, omega, t = experiments._tune_peak(peak, 2.0, True)
+    assert omega == 2.0 + 2 * span
+    assert (w, t) == peak(omega)
+    # a vertex within reach is taken as it is, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", CutoffWarning)
+        w, omega, t = experiments._tune_peak(peak, 2.004, True)
+    assert omega == pytest.approx(2.005, abs=1e-12)
+
+
+def test_scan_csv_independent_of_worker_count(tmp_path, one_blas_thread):
+    """Rows come back in grid order, with the same bytes for any pool size
+    at the same BLAS setting: one BLAS thread for both pool sizes."""
     spectrum = (0.95, 1.0, 1.05)
     power = (0.05, 0.08, 0.1)
     for workers in (1, 2):

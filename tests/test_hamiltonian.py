@@ -1,18 +1,21 @@
 """Hamiltonian assembly against first-quantized brute-force references."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from qbattery import hamiltonian
 from qbattery.basis import (ParitySector, Species, SpeciesConfig,
                             build_composite_basis, fock_energy, fock_parity)
+from qbattery.dynamics import SimulationConfig
 from qbattery.errors import ConfigError
 from qbattery.hamiltonian import (assemble_battery_only, assemble_H0,
                                   assemble_Hint, build_hamiltonian_set,
                                   composite_parity_vector)
-from qbattery.integrals import two_body_contact
+from qbattery.integrals import contact_nodes, two_body_contact
 
 
 def make_basis(num_particles=2, modes=6, omega_C=1.0,
@@ -264,3 +267,92 @@ def test_assemble_validation():
     basis = make_basis()
     with pytest.raises(ConfigError):
         assemble_H0(basis, 0.0, omega_C=-2.0)
+
+
+def reference_quench(basis, battery_csr, g_BC):
+    """(h1, hint) assembled without cached structure: a fresh raising table,
+    each Gram block added through np.ix_ (none at g_BC = 0), Hint's CSR
+    scanned from the dense buffer, and H0's entries added from its COO
+    form."""
+    wb, wc = basis.battery.omega, basis.charger.omega
+    mb, mc = basis.battery.num_modes, basis.charger.num_modes
+    weights, phi, chi = contact_nodes(mb, mc, wb, wc)
+    up, amp, _ = hamiltonian._raising_table(basis.battery_states)
+    nodes = (phi[:, None, :] * chi[None, :, :] * np.sqrt(weights)
+             ).reshape(mb * mc, -1)
+    cols = basis.index_matrix[up].reshape(len(up), -1)
+    scale = np.repeat(amp, mc, axis=1)
+    parity = composite_parity_vector(basis)
+    h1 = np.zeros((basis.size, basis.size))
+    for l, live in enumerate(cols >= 0 if g_BC else []):
+        kept = cols[l, live]
+        part = nodes[live] * scale[l, live, None]
+        gram = part @ part.T
+        gram[parity[kept][:, None] != parity[kept][None, :]] = 0.0
+        h1[np.ix_(kept, kept)] += gram
+    if g_BC:
+        h1 *= g_BC
+    hint = sp.csr_matrix(h1)
+    h0 = (battery_csr + sp.diags(wc * (basis.charger_index + 0.5),
+                                 format="csr")).tocoo()
+    h1[h0.row, h0.col] += h0.data
+    return h1, hint
+
+
+def quench_case(g_B, sector, g_BC=0.1, omega_C=5.01, num_particles=2,
+                modes=8):
+    cfg = SimulationConfig(num_particles=num_particles, omega_C=omega_C,
+                           g_BC=g_BC, g_B=g_B, modes_battery=modes,
+                           modes_charger=modes, sector=sector, target_n=4)
+    model = cfg.cutoff_model()
+    basis = dataclasses.replace(model.basis, charger=cfg.charger_config())
+    return basis, model
+
+
+@pytest.mark.parametrize("sector", [ParitySector.ODD, ParitySector.EVEN])
+@pytest.mark.parametrize("g_B", [0.0, 3.0])
+def test_cached_hint_pattern_is_the_dense_scan(g_B, sector):
+    basis, model = quench_case(g_B, sector)
+    _, _, hint = hamiltonian.quench_hamiltonians(basis, model, 0.1)
+    scanned = sp.csr_matrix(assemble_Hint(basis, 0.1))
+    layout = model.hint_layout
+    assert hint.nnz > 0
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(hint, name), getattr(scanned, name))
+    assert np.array_equal(layout.indptr, scanned.indptr)
+    assert np.array_equal(layout.indices, scanned.indices)
+    assert not layout.indices.flags.writeable
+
+
+@pytest.mark.parametrize("g_B, sector, g_BC", [
+    (0.0, ParitySector.ODD, 0.1), (3.0, ParitySector.EVEN, 0.1),
+    (-0.5, ParitySector.FULL, -0.2), (3.0, ParitySector.ODD, 0.0)])
+def test_quench_assembly_is_bit_identical_to_the_uncached_one(g_B, sector,
+                                                              g_BC):
+    # a negative g_BC checks the signed zeros too; g_BC = 0 an empty Hint
+    basis, model = quench_case(g_B, sector, g_BC=g_BC)
+    h1, h0, hint = hamiltonian.quench_hamiltonians(basis, model, g_BC)
+    want_h1, want_hint = reference_quench(basis, model.battery_csr, g_BC)
+    assert h1.tobytes() == want_h1.tobytes()
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(hint, name), getattr(want_hint, name))
+    assert np.array_equal(h0.toarray(), assemble_H0(basis, g_B))
+
+
+def test_hint_drops_a_value_that_cancels_to_zero(monkeypatch):
+    # a pattern entry whose value is an exact zero is no CSR nonzero, and
+    # dropping it leaves the cached pattern as it was
+    basis, model = quench_case(0.0, ParitySector.ODD)
+    real = hamiltonian.assemble_Hint
+
+    def cancelled(*args):
+        out = real(*args)
+        out[0, 0] = 0.0
+        return out
+
+    monkeypatch.setattr(hamiltonian, "assemble_Hint", cancelled)
+    _, _, hint = hamiltonian.quench_hamiltonians(basis, model, 0.1)
+    scanned = sp.csr_matrix(cancelled(basis, 0.1))
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(hint, name), getattr(scanned, name))
+    assert model.hint_layout.indices.size == hint.nnz + 1

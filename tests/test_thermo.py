@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbattery.basis import (ParitySector, Species, SpeciesConfig,
                             build_composite_basis)
@@ -153,6 +155,79 @@ def test_golden_section_max_within_xtol(f, a, b, xtol, want):
     assert val == f(t)
 
 
+def unimodal(kind, c, width):
+    """A function with its one maximum at c: a parabola, a cosine arch of
+    half-width pi width about c (-1 beyond it), or a Gaussian."""
+    if kind == "parabola":
+        return lambda t: -((t - c) / width) ** 2
+    if kind == "arch":
+        return lambda t: (math.cos((t - c) / (2.0 * width))
+                          if abs(t - c) < math.pi * width else -1.0)
+    return lambda t: math.exp(-((t - c) / width) ** 2)
+
+
+def warm_and_cold(kind, c, size, left, right, inner, width, xtol):
+    """(warm result, its calls, cold result, its calls, bracket triple)
+    for a bracket [c - left size, c + right size] whose interior point is
+    ``inner`` of the way from c to the nearer end."""
+    f = unimodal(kind, c, width * size)
+    a, b = c - left * size, c + right * size
+    x = c + inner * min(c - a, b - c)
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return f(t)
+
+    warm = golden_section_max(counted, a, b, xtol=xtol * size,
+                              start=(x, f(x), f(a), f(b)))
+    warm_calls = list(calls)
+    calls.clear()
+    cold = golden_section_max(counted, a, b, xtol=xtol * size)
+    return warm, warm_calls, cold, calls, (a, x, b)
+
+
+brackets = dict(
+    c=st.floats(-1.0, 1.0), size=st.floats(1e-3, 10.0),
+    left=st.floats(0.05, 1.0), right=st.floats(0.05, 1.0),
+    inner=st.floats(-0.95, 0.95), width=st.floats(0.3, 3.0),
+    xtol=st.floats(1e-6, 1e-3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(kind=st.sampled_from(["parabola", "arch", "gaussian"]), **brackets)
+def test_warm_started_golden_section_max_finds_the_maximizer(
+        kind, c, size, left, right, inner, width, xtol):
+    (t, val), calls, _, _, triple = warm_and_cold(kind, c, size, left, right,
+                                                  inner, width, xtol)
+    assert abs(t - c) <= xtol * size
+    assert val == unimodal(kind, c, width * size)(t)
+    assert not set(calls) & set(triple)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(kind=st.sampled_from(["parabola", "arch"]), **brackets)
+def test_warm_start_on_a_smooth_peak_needs_no_more_calls(
+        kind, c, size, left, right, inner, width, xtol):
+    _, warm, _, cold, _ = warm_and_cold(kind, c, size, left, right, inner,
+                                        width, xtol)
+    assert len(warm) <= len(cold)
+
+
+def test_warm_start_steps_to_the_parabola_vertex_first():
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return -(t - 1.7) ** 2 + 4.0
+
+    golden_section_max(f, 1.0, 3.0, xtol=1e-6,
+                       start=(2.0, f(2.0), f(1.0), f(3.0)))
+    assert calls[3] == pytest.approx(1.7, abs=1e-12)
+    with pytest.raises(ValueError, match="start"):
+        golden_section_max(f, 1.0, 3.0, start=(2.8, f(2.8), f(1.0), f(3.0)))
+
+
 def test_find_t_max_on_analytic_signal():
     # W(t) = sin^2(t/10): first peak at 5 pi
     res = find_t_max(lambda ts: np.sin(np.asarray(ts) / 10.0) ** 2, 40.0)
@@ -185,13 +260,17 @@ def test_find_t_max_doubling_reuses_grid():
     find_t_max(work, 40.0)
     # horizon 40 -> 80 -> 160: one full grid, then 601 new points per doubling
     assert [c.size for c in calls[:3]] == [1201, 601, 601]
-    assert all(c.size == 1 for c in calls[3:])
+    # then one read of the pick and its two neighbours, and Brent steps
+    assert calls[3].size == 3
+    assert all(c.size == 1 for c in calls[4:])
     grid = calls[0]
     for h, new in zip((80.0, 160.0), calls[1:3]):
         # the even half of the old grid plus the new points is bit for bit
         # a fresh grid on [0, h], so the reused work values are exact
         grid = np.concatenate([grid[:-1:2], new])
         np.testing.assert_array_equal(grid, np.linspace(0.0, h, 1201))
+    pick = np.searchsorted(grid, calls[3][1])
+    np.testing.assert_array_equal(calls[3], grid[pick - 1:pick + 2])
 
 
 def test_find_t_max_picks_earliest_equivalent_peak():
