@@ -59,12 +59,6 @@ def hermite_mode_values(n_max, omega, x, bare_polynomial=False):
     return omega ** 0.25 * table
 
 
-def hermite_eigenfunction(n, omega, x):
-    """Value(s) of the n-th oscillator eigenfunction at position(s) x."""
-    vals = hermite_mode_values(n, omega, x)[n]
-    return vals[0] if np.isscalar(x) else vals
-
-
 def _occupation_vectors(total, modes):
     if modes == 1:
         yield (total,)

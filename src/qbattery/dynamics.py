@@ -54,7 +54,6 @@ block larger than that is held.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
 import warnings
@@ -67,7 +66,6 @@ from .basis import DEFAULT_BASIS_CAP, ParitySector, Species, SpeciesConfig
 from .errors import ConfigError, CutoffWarning, NumericalBreakdownError
 from .hamiltonian import cutoff_model, quench_hamiltonians
 
-SERIES_SCHEMA = "qbattery.series.v1"
 SERIES_COLUMNS = ("t", "W_B", "ergotropy", "S_B", "E_int", "W_irr", "E_total")
 
 _BLOCK_COLUMNS = 256     # times per read-out block
@@ -102,43 +100,29 @@ class SpectralDecomposition:
         return self.energies.size
 
 
-@dataclass
-class QuantumState:
-    """State vector over a composite sector basis at one instant."""
-
-    amplitudes: np.ndarray
-    time: float = 0.0
-
-    def norm(self):
-        return float(np.linalg.norm(self.amplitudes))
-
-
 def initial_state(basis, battery_h, charger_level=1):
-    """Battery ground state times one charger quantum, embedded in the sector.
+    """Battery ground state times one charger quantum, embedded in the
+    sector: a real vector.
 
     Raises if the product state does not live entirely inside the requested
     parity sector (e.g. an even charger level in the odd sector).
     """
     if charger_level < 0 or charger_level >= basis.charger.num_modes:
         raise ConfigError("charger level outside the mode cutoff")
-    ground = battery_h.ground_state
-    amplitudes = np.zeros(basis.size)
-    for b in range(basis.battery_dim):
-        p = basis.index_matrix[b, charger_level]
-        if p >= 0:
-            amplitudes[p] = ground[b]
-    weight = float(amplitudes @ amplitudes)
+    psi = np.where(basis.charger_index == charger_level,
+                   battery_h.ground_state[basis.battery_index], 0.0)
+    weight = float(psi @ psi)
     if weight < 1.0 - 1e-9:
         raise ConfigError(
             f"initial state has weight {weight:.6f} inside the "
             f"{basis.sector.name} sector; wrong sector for this charger level")
-    return QuantumState(amplitudes=amplitudes.astype(complex), time=0.0)
+    return psi
 
 
 def expectation(operator, state):
-    """Real expectation value, asserting the imaginary residue is noise."""
-    v = state.amplitudes
-    val = complex(np.vdot(v, operator @ v))
+    """Real expectation value of a state vector, asserting the imaginary
+    residue is noise."""
+    val = complex(np.vdot(state, operator @ state))
     if abs(val.imag) > _IMAG_TOL:
         raise AssertionError(f"expectation has imaginary residue {val.imag:.3e}")
     return val.real
@@ -215,24 +199,11 @@ class ObservableSeries:
     irreversible_work: np.ndarray
     total_energy: np.ndarray
 
-    def to_csv(self, path, meta=None):
-        meta = dict(meta or {})
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# schema={SERIES_SCHEMA}\n")
-            for k in sorted(meta):
-                fh.write(f"# {k}={meta[k]}\n")
-            writer = csv.writer(fh)
-            writer.writerow(SERIES_COLUMNS)
-            for row in zip(self.times, self.stored_work, self.ergotropy,
-                           self.entropy, self.interaction_energy,
-                           self.irreversible_work, self.total_energy):
-                writer.writerow([f"{x:.12g}" for x in row])
-        return path
-
 
 @dataclass
 class SimulationConfig:
-    """Full description of one quench run."""
+    """Full description of one quench run. ``sector`` defaults to the
+    parity (-1)^charger_level of psi(0), the only sector it reaches."""
 
     num_particles: int
     omega_C: float
@@ -242,11 +213,13 @@ class SimulationConfig:
     modes_battery: int = 12
     modes_charger: int = 12
     charger_level: int = 1
-    sector: ParitySector = ParitySector.ODD
+    sector: ParitySector | None = None
     basis_cap: int = DEFAULT_BASIS_CAP
     target_n: int | None = None
 
     def __post_init__(self):
+        if self.sector is None:
+            self.sector = ParitySector((-1) ** self.charger_level)
         if self.num_particles < 1:
             raise ConfigError("need at least one battery particle")
         if self.omega_B <= 0 or self.omega_C <= 0:
@@ -303,14 +276,13 @@ class QuenchSimulation:
         self.state0 = initial_state(self.basis, self.battery_h,
                                     charger_level=config.charger_level)
         # H1 and psi(0) are real, so V and c0 are too
-        psi0 = self.state0.amplitudes.real[:, None]
-        self._coeff0 = self.spectral.vectors.T @ psi0[:, 0]
+        self._coeff0 = self.spectral.vectors.T @ self.state0
 
     @functools.cached_property
     def _initial_energies(self):
         """(<H0>, <H0> + <Hint>) in psi(0): the read-out's reference for
         W_irr and for the E_total drift guard. peak() needs neither."""
-        psi0 = self.state0.amplitudes.real[:, None]
+        psi0 = self.state0[:, None]
         zero = np.zeros_like(psi0)
         h0 = float(_expect(self.h0, psi0, zero)[0])
         return h0, h0 + float(_expect(self.hint, psi0, zero)[0])
@@ -405,10 +377,6 @@ class QuenchSimulation:
             raise NumericalBreakdownError(
                 f"state norm drifted by {drift:.3e} during propagation")
         return re, im
-
-    def state_at(self, t):
-        re, im = self._block(self.spectral.vectors, np.array([float(t)]))
-        return QuantumState(amplitudes=re[:, 0] + 1j * im[:, 0], time=t)
 
     def states_at(self, times):
         """Batched reconstruction, one column per time, in one D x T block.
@@ -529,11 +497,3 @@ class QuenchSimulation:
             s, ergotropy=obs["ergotropy"], entropy=obs["S_B"],
             irreversible_work=obs["W_irr"], interaction_energy=obs["E_int"],
             total_energy=obs["E_total"])
-
-
-def time_series(config, times=None, points=600):
-    """Convenience wrapper: build the pipeline and evaluate a series."""
-    sim = QuenchSimulation(config)
-    if times is None:
-        times = sim.default_times(points=points)
-    return sim.series(times)

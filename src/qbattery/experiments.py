@@ -29,7 +29,7 @@ from .dynamics import QuenchSimulation, SimulationConfig
 from .errors import (ConfigError, CutoffWarning, HorizonWarning,
                      NoTransferError)
 from .krylov import ProductSpaceOperator, work_walk
-from .thermo import _XTOL, golden_section_max, qsl_numeric
+from .thermo import _XTOL, golden_section_max
 from . import lapack, tlm
 
 __all__ = [
@@ -153,10 +153,6 @@ def _map_or_raise(fn, items, workers):
     return [value for value, _ in results]
 
 
-def _nan_row(keys):
-    return {k: float("nan") for k in keys}
-
-
 def write_csv(path, fieldnames, rows, schema=SCAN_SCHEMA):
     """Deterministic CSV: schema comment, header, shortest-roundtrip floats."""
     path = Path(path)
@@ -196,13 +192,25 @@ def write_manifest(path, scan, extra=None):
     return path
 
 
-def _scan_outputs(scan, fieldnames, rows, extra=None):
-    if scan.output is None:
-        return None
-    out = Path(scan.output)
-    write_csv(out, fieldnames, rows)
-    write_manifest(out.with_suffix(".manifest.json"), scan, extra=extra)
-    return out
+def _sweep(scan, fieldnames, point, fill):
+    """Rows of ``point(value)`` over the scan grid, in grid order, each
+    with an error column, written with a manifest when scan.output is set.
+    A failed point's row holds NaN except for the fields ``fill(value)``
+    gives, and its error column names the exception."""
+    rows = []
+    for value, (result, err) in zip(scan.values,
+                                    _indexed_map(point, list(scan.values),
+                                                 scan.workers)):
+        if result is None:
+            result = {k: float("nan") for k in fieldnames[:-1]}
+            result.update(fill(value))
+        result["error"] = err
+        rows.append(result)
+    if scan.output is not None:
+        out = Path(scan.output)
+        write_csv(out, fieldnames, rows)
+        write_manifest(out.with_suffix(".manifest.json"), scan)
+    return rows
 
 
 def spectrum_scan(scan: ScanConfig):
@@ -226,18 +234,8 @@ def spectrum_scan(scan: ScanConfig):
         return {"omega_C": value, "ratio_W": s.stored_work / denom,
                 "ratio_E": s.ergotropy / denom, "t_max": s.t_max}
 
-    fieldnames = ["omega_C", "ratio_W", "ratio_E", "t_max", "error"]
-    rows = []
-    for value, (result, err) in zip(scan.values,
-                                    _indexed_map(point, list(scan.values),
-                                                 scan.workers)):
-        if result is None:
-            result = _nan_row(fieldnames[:-1])
-            result["omega_C"] = value
-        result["error"] = err
-        rows.append(result)
-    _scan_outputs(scan, fieldnames, rows)
-    return rows
+    return _sweep(scan, ["omega_C", "ratio_W", "ratio_E", "t_max", "error"],
+                  point, lambda value: {"omega_C": value})
 
 
 def degeneracy_seeds(window, config):
@@ -405,8 +403,8 @@ POWER_FIELDS = ["value", "N_B", "g_B", "omega_C", "power_ED", "power_TLM",
 def power_scan(scan: ScanConfig):
     """Charging power at the first stored-work maximum, per grid point, at
     the per-point resonant omega_C, next to the two-level power estimate and
-    both speed-limit times (numeric Mandelstam-Tamm and two-level closed
-    form)."""
+    both speed-limit times (Mandelstam-Tamm from psi(0)'s energy variance,
+    QuenchSimulation.qsl_estimate, and the two-level closed form)."""
 
     def point(value):
         cfg = scan.config_at(value)
@@ -423,23 +421,13 @@ def power_scan(scan: ScanConfig):
             "omega_C": omega,
             "power_ED": s.power,
             "power_TLM": tlm.power_tlm(params),
-            "tau_qsl_num": qsl_numeric(sim.state0, sim.h0 + sim.hint),
+            "tau_qsl_num": sim.qsl_estimate(),
             "tau_qsl_tlm": tlm.qsl_tlm(params),
             "W_B": s.stored_work,
             "t_max": s.t_max,
         }
 
-    rows = []
-    for value, (result, err) in zip(scan.values,
-                                    _indexed_map(point, list(scan.values),
-                                                 scan.workers)):
-        if result is None:
-            result = _nan_row(POWER_FIELDS[:-1])
-            result["value"] = value
-        result["error"] = err
-        rows.append(result)
-    _scan_outputs(scan, POWER_FIELDS, rows)
-    return rows
+    return _sweep(scan, POWER_FIELDS, point, lambda value: {"value": value})
 
 
 WIRR_FIELDS = ["value", "N_B", "g_B", "omega_C", "W_irr", "W_B", "W_C0",
@@ -470,19 +458,8 @@ def wirr_scan(scan: ScanConfig):
             "below_pct_WB": bool(wirr < 0.01 * s.stored_work),
         }
 
-    rows = []
-    for value, (result, err) in zip(scan.values,
-                                    _indexed_map(point, list(scan.values),
-                                                 scan.workers)):
-        if result is None:
-            result = _nan_row(WIRR_FIELDS[:-1])
-            result["value"] = value
-            result["below_pct_WC"] = False
-            result["below_pct_WB"] = False
-        result["error"] = err
-        rows.append(result)
-    _scan_outputs(scan, WIRR_FIELDS, rows)
-    return rows
+    return _sweep(scan, WIRR_FIELDS, point, lambda value: {
+        "value": value, "below_pct_WC": False, "below_pct_WB": False})
 
 
 def _tune_peak(peak, omega, tune):

@@ -22,7 +22,6 @@ from .basis import hermite_mode_values
 from .errors import ConfigError
 
 QUADRATURE_PAD = 8
-_FREQ_QUANTUM = 1e-12
 
 
 @dataclass(frozen=True)
@@ -69,24 +68,6 @@ def one_body_energy(omega, i):
     return (i + 0.5) * omega
 
 
-def _quantize(omega):
-    return round(omega / _FREQ_QUANTUM)
-
-
-_contact_cache = {}
-_contact_lock = threading.Lock()
-
-
-def _contact_key(i, j, k, l, omega_a, omega_b):
-    qa, qb = _quantize(omega_a), _quantize(omega_b)
-    ik = (min(i, k), max(i, k))
-    jl = (min(j, l), max(j, l))
-    if qa == qb:
-        pair = tuple(sorted((ik, jl)))
-        return (pair[0], pair[1], qa, qb)
-    return (ik, jl, qa, qb)
-
-
 def two_body_contact(i, j, k, l, omega_a, omega_b):
     """Contact integral of psi_i psi_j psi_k psi_l; (i, k) at omega_a.
 
@@ -99,12 +80,6 @@ def two_body_contact(i, j, k, l, omega_a, omega_b):
         raise ConfigError("frequencies must be positive")
     if (i + j + k + l) % 2:
         return 0.0
-    key = _contact_key(i, j, k, l, omega_a, omega_b)
-    with _contact_lock:
-        cached = _contact_cache.get(key)
-    if cached is not None:
-        return cached
-
     total = omega_a + omega_b
     rule = gauss_hermite_rule(i + j + k + l, total)
     x = rule.positions
@@ -112,13 +87,10 @@ def two_body_contact(i, j, k, l, omega_a, omega_b):
                              bare_polynomial=True)
     pb = hermite_mode_values(max(j, l), 1.0, math.sqrt(omega_b) * x,
                              bare_polynomial=True)
-    value = float(
+    return float(
         math.sqrt(omega_a * omega_b / total)
         * np.dot(rule.weights, pa[i] * pa[k] * pb[j] * pb[l])
     )
-    with _contact_lock:
-        _contact_cache[key] = value
-    return value
 
 
 def contact_tensor(modes_a, modes_b, omega_a, omega_b):
@@ -275,11 +247,3 @@ def overlap_set(n, omega_B, omega_C):
         In0=overlap_In0(n, omega_B, omega_C),
         In=overlap_In(n, omega_B, omega_C),
     )
-
-
-def clear_caches():
-    """Drop cached integrals and quadrature rules (mostly for tests)."""
-    with _contact_lock:
-        _contact_cache.clear()
-    with _rule_lock:
-        _rule_cache.clear()

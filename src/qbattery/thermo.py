@@ -77,7 +77,7 @@ def partial_trace_charger(state, basis):
     (absent pairs are zero) and rho_B = X X^dagger.
     """
     x = np.zeros((basis.battery_dim, basis.charger_dim), dtype=complex)
-    x[basis.battery_index, basis.charger_index] = state.amplitudes
+    x[basis.battery_index, basis.charger_index] = state
     rho = x @ x.conj().T
     return BatteryDensityMatrix(rho=rho, eigenvalues=_clip_spectrum(
         np.linalg.eigvalsh(rho)))
@@ -102,9 +102,9 @@ def battery_spectra(x_re, x_im):
 
 
 def reduced_charger_matrix(state, basis):
-    """Charger reduced density matrix (modes_charger square)."""
+    """Charger reduced density matrix of a sector state vector."""
     x = np.zeros((basis.battery_dim, basis.charger_dim), dtype=complex)
-    x[basis.battery_index, basis.charger_index] = state.amplitudes
+    x[basis.battery_index, basis.charger_index] = state
     return x.T @ x.conj()
 
 
@@ -136,27 +136,11 @@ def von_neumann_entropy(spectrum_or_rho):
     lam = lam[lam > 0.0]
     return float(-(lam * np.log(lam)).sum())
 
-def irreversible_work(state_t, state_0, h0):
-    """Tr[H0 (rho(t) - rho(0))] for pure composite states."""
-    vt, v0 = state_t.amplitudes, state_0.amplitudes
-    now = np.real(np.vdot(vt, h0 @ vt))
-    before = np.real(np.vdot(v0, h0 @ v0))
-    return float(now - before)
-
 
 def variance_to_qsl(variance):
     if variance <= 0.0:
         return math.inf
     return math.pi / (2.0 * math.sqrt(variance))
-
-
-def qsl_numeric(state0, h):
-    """Mandelstam-Tamm bound from the energy variance of a state."""
-    v = state0.amplitudes if hasattr(state0, "amplitudes") else np.asarray(state0)
-    hv = h @ v
-    mean = np.real(np.vdot(v, hv))
-    var = float(np.real(np.vdot(hv, hv)) - mean ** 2)
-    return variance_to_qsl(var)
 
 
 def golden_section_max(f, a, b, xtol=_XTOL, start=None):

@@ -8,8 +8,7 @@ import pytest
 from qbattery.basis import (DEFAULT_BASIS_CAP, CompositeBasis, ParitySector,
                             Species, SpeciesConfig, build_composite_basis,
                             enumerate_fock_states, fock_dimension,
-                            fock_parity, hermite_eigenfunction,
-                            hermite_mode_values)
+                            fock_parity, hermite_mode_values)
 from qbattery.errors import ConfigError
 
 
@@ -49,13 +48,6 @@ def test_bare_polynomial_factors_out_gaussian():
     bare = hermite_mode_values(4, omega, x, bare_polynomial=True)
     gauss = np.exp(-0.5 * omega * x * x)
     np.testing.assert_allclose(bare * gauss, full, atol=1e-13)
-
-
-def test_single_eigenfunction_row():
-    x = np.linspace(-1.0, 1.0, 9)
-    np.testing.assert_allclose(hermite_eigenfunction(3, 1.1, x),
-                               hermite_mode_values(3, 1.1, x)[3],
-                               atol=1e-14)
 
 
 def test_fock_dimension_binomial():

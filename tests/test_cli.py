@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from qbattery import cli
+from qbattery.basis import ParitySector
+from qbattery.dynamics import QuenchSimulation, SimulationConfig
 from qbattery.errors import NumericalBreakdownError
 from qbattery.tlm import resonance_solve
 
@@ -73,6 +75,41 @@ points = 11
     header = (out / "simulate.csv").read_text().splitlines()
     names = next(l for l in header if not l.startswith("#")).split(",")
     assert "W_B_tlm" not in names
+
+
+def test_simulate_even_charger_level(tmp_path, monkeypatch):
+    """charger_level = 2 runs in the EVEN sector, the parity of psi(0), and
+    matches a FULL-sector run. t_max is compared at the search's
+    resolution: W_B is so flat at its maximum that round-off moves t_max
+    by up to about 3e-6 (thermo.find_t_max)."""
+    built = []
+
+    class Recorded(QuenchSimulation):
+        def __init__(self, config):
+            super().__init__(config)
+            built.append(self)
+
+    monkeypatch.setattr(cli, "QuenchSimulation", Recorded)
+    ini = write_ini(tmp_path, BASE_INI.format(
+        omega=1.0, extra="charger_level = 2\n[simulate]\npoints = 41\n"))
+    out = tmp_path / "even"
+    assert run_cli("--config", ini, "--out", str(out), "simulate") == 0
+    manifest = json.loads((out / "simulate.manifest.json").read_text())
+    assert manifest["config"]["sector"] == "ParitySector.EVEN"
+    assert manifest["config"]["charger_level"] == 2
+    (sim,) = built
+    full = QuenchSimulation(SimulationConfig(
+        num_particles=1, omega_C=1.0, g_BC=0.1, modes_battery=8,
+        modes_charger=8, target_n=1, charger_level=2,
+        sector=ParitySector.FULL))
+    got, want = sim.summarize(), full.summarize()
+    assert got.stored_work == pytest.approx(want.stored_work, rel=0,
+                                            abs=1e-9)
+    assert got.t_max == pytest.approx(want.t_max, rel=0, abs=1e-5)
+    csv = np.genfromtxt(out / "simulate.csv", delimiter=",", names=True,
+                        skip_header=1)
+    np.testing.assert_allclose(csv["W_B"], full.work_series(csv["t"]),
+                               rtol=0, atol=1e-9)
 
 
 def test_unknown_key_is_config_error(tmp_path):

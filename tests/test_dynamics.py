@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qbattery import dynamics, hamiltonian, lapack, thermo
+from qbattery import cli, dynamics, hamiltonian, lapack, thermo
 from qbattery.basis import ParitySector
-from qbattery.dynamics import (QuenchSimulation, SimulationConfig,
-                               time_series)
+from qbattery.dynamics import QuenchSimulation, SimulationConfig
 from qbattery.errors import ConfigError, CutoffWarning, NumericalBreakdownError
 from qbattery.experiments import degeneracy_seeds
 from qbattery.hamiltonian import build_hamiltonian_set, embed_battery_operator
@@ -27,7 +26,8 @@ def small_config(**kw):
 
 def test_initial_state_is_ground_times_first_level():
     sim = QuenchSimulation(small_config())
-    amps = sim.state0.amplitudes
+    amps = sim.state0
+    assert amps.dtype == np.float64
     assert np.linalg.norm(amps) == pytest.approx(1.0, abs=1e-14)
     # the only populated pair is battery mode 0, charger level 1
     k = np.argmax(np.abs(amps))
@@ -35,6 +35,17 @@ def test_initial_state_is_ground_times_first_level():
     assert tuple(sim.basis.battery_states[bi]) == (1, 0, 0, 0, 0, 0)
     assert ci == 1
     assert abs(amps[k]) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_sector_defaults_to_charger_level_parity():
+    assert small_config().sector is ParitySector.ODD
+    assert small_config(charger_level=2).sector is ParitySector.EVEN
+    QuenchSimulation(small_config(charger_level=2))
+    # an explicit sector is honoured, and psi(0) must lie inside it
+    cfg = small_config(charger_level=2, sector=ParitySector.ODD)
+    assert cfg.sector is ParitySector.ODD
+    with pytest.raises(ConfigError, match="weight 0.000000 inside the ODD"):
+        QuenchSimulation(cfg)
 
 
 def test_charger_quantum_counts_level():
@@ -49,8 +60,8 @@ def test_evolution_matches_dense_expm():
     sim = QuenchSimulation(small_config(omega_C=1.01))
     h1 = (sim.h0 + sim.hint).toarray()
     for t in (0.7, 13.0):
-        direct = expm(-1j * t * h1) @ sim.state0.amplitudes
-        np.testing.assert_allclose(sim.state_at(t).amplitudes, direct,
+        direct = expm(-1j * t * h1) @ sim.state0
+        np.testing.assert_allclose(sim.states_at([t])[:, 0], direct,
                                    atol=1e-11)
 
 
@@ -58,9 +69,9 @@ def test_norm_and_total_energy_conserved():
     sim = QuenchSimulation(small_config(num_particles=2, omega_C=0.97,
                                         g_B=0.4))
     h1 = sim.h0 + sim.hint
-    e0 = np.vdot(sim.state0.amplitudes, h1 @ sim.state0.amplitudes).real
+    e0 = np.vdot(sim.state0, h1 @ sim.state0).real
     for t in (0.0, 3.0, 41.5):
-        psi = sim.state_at(t).amplitudes
+        psi = sim.states_at([t])[:, 0]
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
         et = np.vdot(psi, h1 @ psi).real
         assert et == pytest.approx(e0, abs=1e-12)
@@ -112,25 +123,19 @@ def test_series_columns_are_consistent():
 
 
 def test_series_csv_round_trip(tmp_path):
+    # shortest-roundtrip floats: every cell reads back bit for bit
     sim = QuenchSimulation(small_config())
-    series = sim.series(np.linspace(0.0, 5.0, 5))
     path = tmp_path / "series.csv"
-    series.to_csv(path, meta={"tag": "unit"})
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    skip = sum(1 for line in lines if line.startswith("#"))
-    assert lines[0] == "# schema=qbattery.series.v1"
-    raw = np.genfromtxt(path, delimiter=",", names=True, skip_header=skip)
-    np.testing.assert_allclose(raw["W_B"], series.stored_work, rtol=1e-10)
-    np.testing.assert_allclose(raw["S_B"], series.entropy, rtol=1e-9,
-                               atol=1e-12)
-
-
-def test_time_series_convenience_wrapper():
-    cfg = small_config()
-    series = time_series(cfg, points=16)
-    assert len(series.times) == 16
-    assert series.times[0] == 0.0
+    series = cli.write_series_csv(path, sim, times=np.linspace(0.0, 5.0, 5))
+    lines = path.read_text().splitlines()
+    assert lines[0] == "# schema=qbattery-series-v1"
+    raw = np.genfromtxt(path, delimiter=",", names=True, skip_header=1)
+    for name, column in zip(dynamics.SERIES_COLUMNS,
+                            (series.times, series.stored_work,
+                             series.ergotropy, series.entropy,
+                             series.interaction_energy,
+                             series.irreversible_work, series.total_energy)):
+        np.testing.assert_array_equal(raw[name], column)
 
 
 def test_default_times_cover_expected_peak():
@@ -189,11 +194,10 @@ def reference_row(sim, t):
     """One series row from the complex eigen-expansion and the dense
     matrices, one time at a time."""
     vectors = sim.spectral.vectors.astype(complex)
-    coeff0 = vectors.conj().T @ sim.state0.amplitudes
+    coeff0 = vectors.conj().T @ sim.state0
     psi = vectors @ (np.exp(-1j * sim.spectral.energies * t) * coeff0)
-    psi0 = sim.state0.amplitudes
-    rho = thermo.partial_trace_charger(dynamics.QuantumState(psi, t),
-                                       sim.basis)
+    psi0 = sim.state0
+    rho = thermo.partial_trace_charger(psi, sim.basis)
     h0_now = np.vdot(psi, sim.h0 @ psi).real
     e_int = np.vdot(psi, sim.hint @ psi).real
     return [thermo.stored_work(rho, sim.battery_h),
@@ -245,7 +249,7 @@ def test_energy_drift_raises():
     # columns orthonormal but moves the energy of the evolved state
     sim = QuenchSimulation(small_config(num_particles=2, g_B=0.4))
     k = int(np.argmax(np.abs(sim.spectral.vectors.T
-                             @ sim.state0.amplitudes.real)))
+                             @ sim.state0)))
     sim.spectral.vectors[:, [-1, k]] = sim.spectral.vectors[:, [k, -1]]
     with pytest.raises(NumericalBreakdownError, match="total energy"):
         sim.series(np.linspace(0.0, 5.0, 3))
@@ -258,7 +262,7 @@ def dense_work(sim, times):
     work = embed_battery_operator(
         sim.basis, bat.matrix - bat.ground_energy * np.eye(bat.dim)).toarray()
     vectors = sim.spectral.vectors
-    coeff0 = vectors.T @ sim.state0.amplitudes.real
+    coeff0 = vectors.T @ sim.state0
     psi = vectors @ (np.exp(-1j * np.outer(sim.spectral.energies, times))
                      * coeff0[:, None])
     return np.einsum("it,it->t", psi.conj(), work @ psi).real

@@ -20,6 +20,7 @@ from qbattery.experiments import (RATIO_CAP, ResonancePeak, ScanConfig,
                                   fine_tune_resonance, power_scan,
                                   spectrum_scan, wirr_scan, write_csv,
                                   write_manifest)
+from qbattery.hamiltonian import build_hamiltonian_set
 from qbattery.thermo import golden_section_max
 from qbattery.tlm import resonance_solve
 
@@ -339,10 +340,21 @@ def test_power_scan_matches_two_level_power(tmp_path):
                                   modes_charger=12),
                       output=str(out))
     rows = power_scan(scan)
-    for row in rows:
+    for value, row in zip(scan.values, rows):
         assert row["error"] == ""
         assert abs(row["power_ED"] / row["power_TLM"] - 1.0) < 5e-3
         assert row["tau_qsl_tlm"] > 0
+        # tau_qsl_num is Mandelstam-Tamm from psi(0)'s variance in dense H1
+        cfg = dataclasses.replace(scan.config_at(value),
+                                  omega_C=row["omega_C"])
+        sim = QuenchSimulation(cfg)
+        h1 = build_hamiltonian_set(sim.basis, cfg.g_B, cfg.g_BC,
+                                   omega_B=cfg.omega_B,
+                                   omega_C=cfg.omega_C).h1
+        h_psi = h1 @ sim.state0
+        var = h_psi @ h_psi - (sim.state0 @ h_psi) ** 2
+        assert row["tau_qsl_num"] == pytest.approx(
+            math.pi / (2.0 * math.sqrt(var)), rel=1e-10)
     assert out.exists()
 
 

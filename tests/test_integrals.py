@@ -11,11 +11,10 @@ import numpy as np
 import pytest
 
 from qbattery.errors import ConfigError
-from qbattery.integrals import (clear_caches, contact_tensor,
-                                fermionic_overlap, gauss_hermite_rule,
-                                one_body_energy, overlap_I00, overlap_I01,
-                                overlap_In, overlap_In0, overlap_set,
-                                two_body_contact)
+from qbattery.integrals import (contact_tensor, fermionic_overlap,
+                                gauss_hermite_rule, one_body_energy,
+                                overlap_I00, overlap_I01, overlap_In,
+                                overlap_In0, overlap_set, two_body_contact)
 
 # (i, j, k, l, omega_a, omega_b) -> adaptive-quadrature value
 CONTACT_ORACLES = {
@@ -172,10 +171,3 @@ def test_argument_validation():
         fermionic_overlap(0, 1, 1.0, 1.0)
     with pytest.raises(ConfigError):
         gauss_hermite_rule(4, 0.0)
-
-
-def test_cache_is_transparent():
-    v1 = two_body_contact(2, 2, 2, 2, 1.0, 1.5)
-    clear_caches()
-    v2 = two_body_contact(2, 2, 2, 2, 1.0, 1.5)
-    assert v1 == v2

@@ -32,7 +32,7 @@ def test_full_sector_run_keeps_parity_norm_and_ergotropy_bounds(cfg, times):
     times = np.array(times)
     psi = sim.states_at(times)
     parity = composite_parity_vector(sim.basis)
-    start = parity[sim.state0.amplitudes != 0]
+    start = parity[sim.state0 != 0]
     assert np.all(start == start[0])
     # H1 has exact zeros between the parities, but the eigensolver mixes
     # near-degenerate levels of opposite parity at round-off level; over
