@@ -477,6 +477,7 @@ def _tune_peak(peak, omega, tune):
     runs = [peak(omega + o) if o else (w0, t0) for o in offsets]
     values = np.array([w for w, _ in runs])
     coeffs = np.polyfit(offsets, values, 2)
+    # a parabola opening upward has its best point among the three runs
     if coeffs[0] < 0:
         raw = -coeffs[1] / (2 * coeffs[0])
         vertex = float(np.clip(raw, -2 * _TUNE_SPAN, 2 * _TUNE_SPAN))
@@ -486,11 +487,9 @@ def _tune_peak(peak, omega, tune):
                 f"{abs(raw):.3g} from {omega:.9g}; clipped to omega_C = "
                 f"{omega + vertex:.9g}, which may sit on a flank of the "
                 "resonance", CutoffWarning, stacklevel=3)
-    else:
-        vertex = float(offsets[np.argmax(values)])
-    wv, tv = peak(omega + vertex)
-    if wv >= values.max():
-        return wv, omega + vertex, tv
+        wv, tv = peak(omega + vertex)
+        if wv >= values.max():
+            return wv, omega + vertex, tv
     best = int(np.argmax(values))
     w, t = runs[best]
     return w, float(omega + offsets[best]), t

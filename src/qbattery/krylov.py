@@ -21,15 +21,16 @@ node at x = 0).
 
 Cost model.  H and the initial state are real, so everything runs in
 float64: ``matvec`` takes real rows only.  One application to a k-row
-block is, per block and row, two GEMMs of size D_b x M_C/2 x Q/2 (D_b
-battery states in the block), plus two row gathers with node sums over at
-most N D_B x k Q/2 entries: O(Q/2 * (D + N D_B)) per row, with D the
-sector dimension, about D_B M_C / 2, instead of touching an assembled
-matrix.  The work arrays are kept per thread between calls: at large D
-fresh temporaries cost more in page faults than the arithmetic.  With two
-OpenBLAS threads on a 2-vCPU VM a matvec takes about 0.13 ms on one real
-row and 0.3 ms on two at D = 4,563 (N = 2, M = 26), and 1.2 ms and 3 to
-4.5 ms at D = 31,200 (N = 3, M = 24).
+block is, per parity block, two stacked GEMMs of size k x D_b x M_C/2 x
+Q/2 (D_b battery states in the block), plus two row gathers with node
+sums over at most N D_B x k Q/2 entries: O(Q/2 * (D + N D_B)) per row,
+with D the sector dimension, about D_B M_C / 2, instead of touching an
+assembled matrix.  The node-sampled work arrays are row-major, (row,
+battery state, node), and kept per thread between calls: at large D fresh
+temporaries cost more in page faults than the arithmetic.  With two
+OpenBLAS threads on a 2-vCPU VM a matvec takes about 76 us on one real
+row and 148 us on two at D = 4,563 (N = 2, M = 26; 135 and 250 us at
+g_B = -0.5), and 0.76 ms and 1.45 ms at D = 31,200 (N = 3, M = 24).
 
 One propagator: a one-shot Chebyshev expansion of exp(-iHt) (Tal-Ezer and
 Kosloff, J. Chem. Phys. 81, 3967 (1984)), which needs no basis storage or
@@ -42,11 +43,12 @@ read W_B(t) through it.
 
 H_B, with its g_B term, is the dense pipeline's matrix from
 ``hamiltonian.assemble_battery_only``; its off-diagonal part adds one
-GEMM per parity block and row to the cost above (none at g_B = 0).
+broadcast GEMM per parity block to the cost above (none at g_B = 0).
 """
 
 from __future__ import annotations
 
+import copy
 import threading
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -159,9 +161,10 @@ class ProductSpaceOperator:
             size = (hi - lo) * modes.size
             own = block_order[lo:hi]
             off = battery.matrix[np.ix_(own, own)] * (1.0 - np.eye(own.size))
+            to_nodes = np.ascontiguousarray(chi[modes][:, half])
             self._blocks.append(SimpleNamespace(
                 states=(lo, hi), entries=slice(entry, entry + size),
-                charger_at_nodes=np.ascontiguousarray(chi[modes][:, half]),
+                to_nodes=to_nodes, to_modes=to_nodes.T.copy(),
                 battery=off if off.any() else None))
             pairs.append(np.stack(np.broadcast_arrays(
                 own[:, None], modes[None, :]), -1).reshape(-1, 2))
@@ -190,79 +193,95 @@ class ProductSpaceOperator:
         target[slot, state] = order % self.lowered_dim
         raise_factor = np.zeros(target.shape + (self.num_nodes,))
         raise_factor[slot, state] = factor[order] * (self.g_BC * node_weights)
-        self._lower_factor = factor
+        self._lower_factor = factor.reshape(self.modes_battery, -1)
         self._target = target.ravel()
-        self._raise_factor = raise_factor.reshape(self._target.size, -1)
-        self._slots = target.shape[0]
+        self._raise_factor = raise_factor.reshape(target.shape[0], -1)
 
     @property
     def dim(self) -> int:
         return self.pairs.shape[0]
 
     def _workspace(self, k):
-        """Work arrays and node factors for a k-row block, kept per thread
-        between calls: fresh temporaries of these sizes cost more in page
-        faults than the arithmetic done in them."""
+        """Work arrays for a k-row block, kept per thread between calls:
+        fresh temporaries of these sizes cost more in page faults than the
+        arithmetic done in them."""
         spaces = self._local.__dict__.setdefault("spaces", {})
         if k not in spaces:
             nb, nq = self.battery_dim, self.num_nodes
-            lower = np.tile(self._lower_factor, (1, k))
-            raise_ = np.tile(self._raise_factor, (1, k))
             spaces[k] = SimpleNamespace(
-                y=np.empty((nb, k, nq)), lowered=np.empty(lower.shape),
-                lower_factor=lower.reshape(self.modes_battery, -1),
-                u=np.empty((self.lowered_dim, k * nq)),
-                raised=np.empty(raise_.shape),
-                raise_factor=raise_.reshape(self._slots, -1),
-                z=np.empty((nb, k, nq)))
+                y=np.empty((k, nb, nq)),
+                lowered=np.empty((k, self._source.size, nq)),
+                u=np.empty((k, self.lowered_dim, nq)),
+                raised=np.empty((k, self._target.size, nq)),
+                z=np.empty((k, nb, nq)), term=np.empty((k, self.dim)))
         return spaces[k]
 
-    def _apply(self, rows: np.ndarray) -> np.ndarray:
-        """H applied to every row of a real (k, dim) block.
+    def _apply(self, rows: np.ndarray, out: np.ndarray) -> None:
+        """H applied to every row of a C-ordered real (k, dim) block.
 
-        The node-sampled arrays keep the battery index outermost, so each
-        gather or node sum runs over all rows at once: entry (b, r, q) holds
-        row r at node q.  The charger contractions are one GEMM per block
-        and row, reading and writing those strided (b, q) planes in place.
+        The node-sampled arrays are row-major, (row, battery state, node),
+        so each charger contraction is one GEMM per block over all rows,
+        and each gather or node sum runs along the battery axis.
         """
         k = rows.shape[0]
         w = self._workspace(k)
         for blk in self._blocks:
             lo, hi = blk.states
-            for r in range(k):
-                np.matmul(rows[r, blk.entries].reshape(hi - lo, -1),
-                          blk.charger_at_nodes, out=w.y[lo:hi, r])
+            np.matmul(rows[:, blk.entries].reshape(k, hi - lo, -1),
+                      blk.to_nodes, out=w.y[:, lo:hi])
         # R_q at every node: each (i, l) row reads its source state, and the
         # sum over modes i leaves one row per lowered state l
-        np.take(w.y.reshape(self.battery_dim, -1), self._source, axis=0,
-                out=w.lowered, mode="clip")
-        np.einsum("ij,ij->j", w.lowered.reshape(self.modes_battery, -1),
-                  w.lower_factor, out=w.u.reshape(-1))
+        w.y.take(self._source, axis=1, out=w.lowered, mode="clip")
+        np.einsum("rij,ij->rj",
+                  w.lowered.reshape(k, self.modes_battery, -1),
+                  self._lower_factor, out=w.u.reshape(k, -1))
         # R_q^T back up to the N-particle space, one slot plane at a time
-        np.take(w.u, self._target, axis=0, out=w.raised, mode="clip")
-        np.einsum("ij,ij->j", w.raised.reshape(self._slots, -1),
-                  w.raise_factor, out=w.z.reshape(-1))
-        # C order: each block of an output row is a contiguous view that
-        # matmul writes into
-        out = np.empty(rows.shape)
+        w.u.take(self._target, axis=1, out=w.raised, mode="clip")
+        np.einsum("rij,ij->rj",
+                  w.raised.reshape(k, self._raise_factor.shape[0], -1),
+                  self._raise_factor, out=w.z.reshape(k, -1))
         for blk in self._blocks:
             lo, hi = blk.states
-            for r in range(k):
-                part = out[r, blk.entries].reshape(hi - lo, -1)
-                np.matmul(w.z[lo:hi, r], blk.charger_at_nodes.T, out=part)
-                if blk.battery is not None:
-                    part += blk.battery @ rows[r, blk.entries].reshape(
-                        hi - lo, -1)
-        out += rows * self._diag
-        return out
+            part = out[:, blk.entries].reshape(k, hi - lo, -1)
+            np.matmul(w.z[:, lo:hi], blk.to_modes, out=part)
+            if blk.battery is not None:
+                term = w.term[:, blk.entries].reshape(k, hi - lo, -1)
+                np.matmul(blk.battery,
+                          rows[:, blk.entries].reshape(k, hi - lo, -1),
+                          out=term)
+                part += term
+        out += np.multiply(rows, self._diag, out=w.term)
 
-    def matvec(self, psi: np.ndarray) -> np.ndarray:
+    def _shifted(self, scale: float, shift: float) -> ProductSpaceOperator:
+        """scale * (H - shift), sharing this operator's gather tables and
+        work arrays: its output-side charger factors, battery blocks and
+        diagonal are scaled instead."""
+        op = copy.copy(self)
+        op._blocks = [SimpleNamespace(**{
+            **vars(blk), "to_modes": scale * blk.to_modes,
+            "battery": None if blk.battery is None else scale * blk.battery})
+            for blk in self._blocks]
+        op._diag = scale * (self._diag - shift)
+        return op
+
+    def matvec(self, psi: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+        """H psi for a real vector or for every row of a real (k, dim)
+        block.  ``out``, if given, is a C-ordered float64 array of psi's
+        shape that does not overlap psi; the result is written there."""
         psi = np.asarray(psi)
         if np.iscomplexobj(psi):
             raise ConfigError("matvec takes real rows; apply a complex state "
                               "as its real and imaginary parts")
-        return self._apply(psi.astype(float, copy=False)
-                           .reshape(-1, self.dim)).reshape(psi.shape)
+        if out is None:
+            out = np.empty(psi.shape)
+        elif (out.shape != psi.shape or out.dtype != np.float64
+              or not out.flags.c_contiguous):
+            raise ConfigError("matvec out= must be a C-ordered float64 "
+                              "array of the input's shape")
+        rows = np.ascontiguousarray(psi, dtype=float).reshape(-1, self.dim)
+        self._apply(rows, out.reshape(rows.shape))
+        return out
 
     def dense(self) -> np.ndarray:
         """Assemble the sector matrix column by column (small dims only)."""
@@ -305,15 +324,18 @@ def spectral_bounds(op: ProductSpaceOperator):
     v = rng.standard_normal(op.dim)
     v /= np.linalg.norm(v)
     m = min(_RITZ_STEPS, op.dim)
-    V = np.empty((m + 1, op.dim))
+    V = np.empty((m, op.dim))
     V[0] = v
     alphas = np.empty(m)
     betas = np.empty(m)
-    w = op.matvec(V[0])
     k = m
     for j in range(m):
+        w = op.matvec(V[j])
         a = V[j] @ w
         alphas[j] = a
+        # the last step needs only its alpha: no next Lanczos vector
+        if j + 1 == m:
+            break
         w = w - a * V[j]
         if j > 0:
             w = w - betas[j - 1] * V[j - 1]
@@ -325,7 +347,6 @@ def spectral_bounds(op: ProductSpaceOperator):
             break
         V[j + 1] = w / b
         betas[j] = b
-        w = op.matvec(V[j + 1])
     T = np.diag(alphas[:k]) + np.diag(betas[: k - 1], 1) \
         + np.diag(betas[: k - 1], -1)
     evals = np.linalg.eigvalsh(T)
@@ -368,8 +389,9 @@ def chebyshev_evolve(op: ProductSpaceOperator, psi: np.ndarray, t: float,
     coeff *= np.exp(-1j * a * t)
 
     # mix[m] maps T_m of the rows onto the real and imaginary parts of
-    # coeff[m] T_m psi.  The recurrence writes into a ring of _TERM_BLOCK
-    # vectors, and each full ring joins the sum in one GEMM.
+    # coeff[m] T_m psi.  The recurrence writes each term straight into a
+    # ring of _TERM_BLOCK vectors, with H~ = (2/b)(H - a) applied by a
+    # pre-scaled operator, and each full ring joins the sum in one GEMM.
     psi = np.asarray(psi)
     rows = (np.stack([psi.real, psi.imag]) if np.iscomplexobj(psi)
             else psi.reshape(1, -1))
@@ -377,19 +399,18 @@ def chebyshev_evolve(op: ProductSpaceOperator, psi: np.ndarray, t: float,
     re, im = coeff.real, coeff.imag
     mix = np.stack([np.stack([re, -im], -1), np.stack([im, re], -1)],
                    1)[:, :, :k]
+    scaled = op._shifted(2.0 / b, a)
     ring = np.empty((_TERM_BLOCK,) + rows.shape)
     ring[0] = rows
     out = np.zeros((2, rows.shape[1]))
     for start in range(0, m_max + 1, _TERM_BLOCK):
         stop = min(start + _TERM_BLOCK, m_max + 1)
         for m in range(max(start, 1), stop):
-            phi, nxt = ring[(m - 1) % _TERM_BLOCK], ring[m % _TERM_BLOCK]
-            h_phi = op.matvec(phi)
-            np.subtract(h_phi, np.multiply(phi, a, out=nxt), out=nxt)
+            nxt = ring[m % _TERM_BLOCK]
+            scaled.matvec(ring[(m - 1) % _TERM_BLOCK], out=nxt)
             if m == 1:
-                nxt /= b
+                nxt *= 0.5
             else:
-                nxt *= 2.0 / b
                 nxt -= ring[(m - 2) % _TERM_BLOCK]
         n = stop - start
         out += (mix[start:stop].transpose(1, 0, 2).reshape(2, n * k)

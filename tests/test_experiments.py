@@ -475,6 +475,22 @@ def test_tune_peak_warns_when_it_clips_the_vertex():
     assert omega == pytest.approx(2.005, abs=1e-12)
 
 
+def test_tune_peak_reuses_the_best_run_on_convex_work():
+    # an upward-opening parabola has its best point among the three runs,
+    # so no fourth peak() call is made for it
+    span = experiments._TUNE_SPAN
+    calls = []
+
+    def peak(omega):
+        calls.append(omega)
+        return 1.0 + (omega - 2.0 + 0.3 * span) ** 2, 10.0 + omega
+
+    w, omega, t = experiments._tune_peak(peak, 2.0, True)
+    assert len(calls) == 3
+    assert omega == 2.0 + span
+    assert (w, t) == peak(2.0 + span)
+
+
 def test_scan_csv_independent_of_worker_count(tmp_path, one_blas_thread):
     """Rows come back in grid order, with the same bytes for any pool size
     at the same BLAS setting: one BLAS thread for both pool sizes."""

@@ -54,20 +54,45 @@ def test_matvec_rejects_complex_input(rng):
             op.matvec(c)
 
 
-@pytest.mark.parametrize("num_particles,mb,mc", [(1, 8, 5), (2, 5, 7)])
-def test_matvec_real_rows_match_dense(rng, num_particles, mb, mc):
+ODD, EVEN = ParitySector.ODD, ParitySector.EVEN
+
+
+@pytest.mark.parametrize("num_particles,mb,mc,g_B,sector", [
+    pytest.param(1, 8, 5, 0.0, ODD, id="1-8-5"),
+    pytest.param(2, 5, 7, 0.0, ODD, id="2-5-7"),
+    pytest.param(2, 5, 7, -0.5, ODD, id="2-5-7-gB-0.5"),
+    pytest.param(2, 6, 5, 3.0, ODD, id="2-6-5-gB3"),
+    pytest.param(2, 5, 7, 0.0, EVEN, id="2-5-7-even"),
+    pytest.param(2, 6, 5, -0.5, EVEN, id="2-6-5-gB-0.5-even"),
+    pytest.param(3, 5, 4, 3.0, EVEN, id="3-5-4-gB3-even")])
+def test_matvec_real_rows_match_dense(rng, num_particles, mb, mc, g_B,
+                                      sector):
     op = make_operator(num_particles=num_particles, mb=mb, mc=mc, g=0.17,
-                       wc=1.9)
+                       wc=1.9, sector=sector, g_B=g_B)
     dense = op.dense()
     v = rng.normal(size=op.dim)
     got = op.matvec(v)
     assert got.dtype == np.float64 and got.shape == (op.dim,)
     np.testing.assert_allclose(got, dense @ v, rtol=0, atol=1e-12)
-    block = rng.normal(size=(3, op.dim))
-    for rows in (block, np.asfortranarray(block)):
-        got = op.matvec(rows)
-        assert got.shape == (3, op.dim)
-        np.testing.assert_allclose(got, block @ dense.T, rtol=0, atol=1e-12)
+    for k in (1, 2, 3):
+        block = rng.normal(size=(k, op.dim))
+        for rows in (block, np.asfortranarray(block)):
+            out = np.full((k, op.dim), np.nan)
+            assert op.matvec(rows, out=out) is out
+            for got in (op.matvec(rows), out):
+                assert got.shape == (k, op.dim)
+                np.testing.assert_allclose(got, block @ dense.T, rtol=0,
+                                           atol=1e-12)
+
+
+def test_matvec_rejects_unusable_out(rng):
+    op = make_operator(mb=5, mc=5)
+    rows = rng.normal(size=(2, op.dim))
+    for out in (np.empty((3, op.dim)), np.empty(op.dim),
+                np.empty((2, op.dim), order="F"),
+                np.empty((2, op.dim), dtype=np.float32)):
+        with pytest.raises(ConfigError):
+            op.matvec(rows, out=out)
 
 
 def test_initial_state_layout():
@@ -119,17 +144,19 @@ def test_chebyshev_matches_dense_evolution_both_directions():
 
 
 def test_chebyshev_real_and_complex_starts_match_dense(rng):
-    op = make_operator(num_particles=2, mb=6, mc=5, g=0.1, wc=1.02)
-    vals, vecs = np.linalg.eigh(op.dense())
-    real = op.initial_state()
-    mixed = rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)
-    mixed /= np.linalg.norm(mixed)
-    bounds = spectral_bounds(op)
-    for psi0 in (real, real.astype(np.complex128), mixed):
-        for t in (17.0, -17.0):
-            ref = vecs @ (np.exp(-1j * vals * t) * (vecs.T @ psi0))
-            psi = chebyshev_evolve(op, psi0, t, bounds=bounds)
-            np.testing.assert_allclose(psi, ref, rtol=0, atol=1e-10)
+    for g_B in (0.0, -0.5):
+        op = make_operator(num_particles=2, mb=6, mc=5, g=0.1, wc=1.02,
+                           g_B=g_B)
+        vals, vecs = np.linalg.eigh(op.dense())
+        real = op.initial_state()
+        mixed = rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)
+        mixed /= np.linalg.norm(mixed)
+        bounds = spectral_bounds(op)
+        for psi0 in (real, real.astype(np.complex128), mixed):
+            for t in (17.0, -17.0):
+                ref = vecs @ (np.exp(-1j * vals * t) * (vecs.T @ psi0))
+                psi = chebyshev_evolve(op, psi0, t, bounds=bounds)
+                np.testing.assert_allclose(psi, ref, rtol=0, atol=1e-10)
 
 
 def test_chebyshev_raises_on_bounds_too_tight():
@@ -151,6 +178,40 @@ def test_spectral_bounds_enclose_true_spectrum():
     vals = np.linalg.eigvalsh(op.dense())
     assert lo <= vals[0]
     assert hi >= vals[-1]
+
+
+def lanczos_ritz_range(dense, steps):
+    """Extremal Ritz values of ``steps`` fully reorthogonalized Lanczos
+    steps on a dense matrix, from spectral_bounds' start vector."""
+    v = np.random.default_rng(1905).standard_normal(dense.shape[0])
+    basis = [v / np.linalg.norm(v)]
+    for _ in range(steps - 1):
+        w = dense @ basis[-1]
+        for _ in range(2):
+            q = np.array(basis)
+            w -= q.T @ (q @ w)
+        basis.append(w / np.linalg.norm(w))
+    q = np.array(basis)
+    ritz = np.linalg.eigvalsh(q @ dense @ q.T)
+    return ritz[0], ritz[-1]
+
+
+@pytest.mark.parametrize("num_particles,mb,mc", [(1, 5, 5), (2, 7, 7)])
+def test_spectral_bounds_make_one_matvec_per_lanczos_step(num_particles, mb,
+                                                          mc):
+    op = make_operator(num_particles=num_particles, mb=mb, mc=mc, g=0.15,
+                       wc=1.3)
+    dense = op.dense()
+    calls = []
+    matvec = op.matvec
+    op.matvec = lambda psi: calls.append(1) or matvec(psi)
+    lo, hi = spectral_bounds(op)
+    steps = min(krylov._RITZ_STEPS, op.dim)
+    assert len(calls) == steps
+    ritz_lo, ritz_hi = lanczos_ritz_range(dense, steps)
+    pad = krylov._RITZ_PAD * (ritz_hi - ritz_lo)
+    np.testing.assert_allclose([lo, hi], [ritz_lo - pad, ritz_hi + pad],
+                               rtol=0, atol=1e-9)
 
 
 def test_work_series_matches_dense_pipeline():
