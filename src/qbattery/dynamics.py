@@ -203,7 +203,13 @@ class ObservableSeries:
 @dataclass
 class SimulationConfig:
     """Full description of one quench run. ``sector`` defaults to the
-    parity (-1)^charger_level of psi(0), the only sector it reaches."""
+    parity (-1)^charger_level of psi(0), the only sector it reaches.
+
+    A defaulted sector follows the charger level through
+    ``dataclasses.replace``, which passes every field again: the level it
+    was resolved from rides along as ``_sector_level``, and a sector still
+    equal to that level's parity is resolved again from the new level. A
+    sector given when the config is built stays as given."""
 
     num_particles: int
     omega_C: float
@@ -216,10 +222,15 @@ class SimulationConfig:
     sector: ParitySector | None = None
     basis_cap: int = DEFAULT_BASIS_CAP
     target_n: int | None = None
+    _sector_level: dataclasses.InitVar[int | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _sector_level):
+        if _sector_level is not None \
+                and self.sector is ParitySector((-1) ** _sector_level):
+            self.sector = None
         if self.sector is None:
             self.sector = ParitySector((-1) ** self.charger_level)
+            self._sector_level = self.charger_level
         if self.num_particles < 1:
             raise ConfigError("need at least one battery particle")
         if self.omega_B <= 0 or self.omega_C <= 0:

@@ -5,9 +5,11 @@ Every scan point runs the full pipeline independently, so one failed point
 never aborts a sweep; failures land in the row's error column.  Scans with
 workers > 1 and the resonance search (one worker per core) run their points
 on a thread pool, each worker on cores // workers BLAS threads at most
-(``lapack.blas_thread_budget``).  Output is deterministic: CSV cells use
-shortest-roundtrip float formatting and the manifest carries no timestamps,
-so the same config at the same BLAS setting produces bit-identical files.
+(``lapack.blas_thread_budget``); convergence_check runs its omega_C
+tuning runs in forked child processes instead.  Output is deterministic:
+CSV cells use shortest-roundtrip float formatting and the manifest carries
+no timestamps, so the same config at the same BLAS setting produces
+bit-identical files.
 A pool's points run on fewer BLAS threads than a serial run's, which can
 move the last digits against workers=1.
 """
@@ -151,6 +153,80 @@ def _map_or_raise(fn, items, workers):
         if exc is not None:
             raise exc
     return [value for value, _ in results]
+
+
+def _forked_run(fn, item, workers, send):
+    """One child of _forked_map: fn(item) as one of a pool of ``workers``,
+    sending back (result, recorded warnings, raised exception)."""
+    lapack.join_pool(workers)
+    value, error = None, None
+    with warnings.catch_warnings(record=True) as caught, \
+            lapack.blas_thread_budget(workers):
+        try:
+            value = fn(item)
+        except Exception as exc:  # raised again in the parent
+            error = exc
+    send.send((value, [(w.message, w.category, w.filename, w.lineno)
+                       for w in caught], error))
+
+
+def _forked_map(fn, items):
+    """[fn(item) for item in items], each item in a child process forked
+    for it, all children at once.
+
+    A forked child inherits this process's module caches and needs no
+    pickled function; only its result travels back. Each child joins a
+    pool of len(items) (``lapack.join_pool``), so ``check_memory`` counts
+    every concurrent dense solve, and runs under ``lapack.blas_thread_budget``
+    for that pool: max(1, cores // len(items)) BLAS threads. A child records
+    the warnings its inherited filters let through; here they are issued
+    again in item order, at their original file and line, and the first
+    item's exception is raised again with its type. Every child is joined
+    before this returns or raises. Called from a pool worker
+    (``lapack.pool_size() > 1``), or where ``fork`` is unavailable, it runs
+    the items here, one after another.
+    """
+    # imported here, not at the top: nothing else in the package needs it
+    import multiprocessing
+
+    if (lapack.pool_size() > 1
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return [fn(item) for item in items]
+    context = multiprocessing.get_context("fork")
+    children, outcomes = [], []
+    try:
+        for item in items:
+            receive, send = context.Pipe(duplex=False)
+            with send:
+                child = context.Process(target=_forked_run,
+                                        args=(fn, item, len(items), send))
+                children.append((child, receive))
+                child.start()
+        for child, receive in children:
+            try:
+                outcomes.append(receive.recv())
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"forked run {len(outcomes)} exited with code "
+                    f"{child.exitcode} before sending a result") from None
+    finally:
+        for child, receive in children:
+            receive.close()
+            if child.pid is not None:
+                if len(outcomes) < len(children):
+                    child.terminate()
+                child.join()
+    # this module's registry: under the "default" action a warning that
+    # several children raised at one place is shown once, as in a serial run
+    registry = globals().setdefault("__warningregistry__", {})
+    for _, caught, error in outcomes:
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno,
+                                   registry=registry)
+        if error is not None:
+            raise error
+    return [value for value, _, _ in outcomes]
 
 
 def write_csv(path, fieldnames, rows, schema=SCAN_SCHEMA):
@@ -462,19 +538,25 @@ def wirr_scan(scan: ScanConfig):
         "value": value, "below_pct_WC": False, "below_pct_WB": False})
 
 
-def _tune_peak(peak, omega, tune):
+def _tune_peak(peak, omega, tune, mapper=map):
     """(W_B at first maximum, omega used, t_max) from a per-omega
     ``peak(omega) -> (W, t)``, optionally re-centering omega_C on the local
     peak of W(omega) with a parabola through omega + (-1, 0, 1) _TUNE_SPAN.
 
-    The re-centred omega_C stays within 2 _TUNE_SPAN of ``omega``; a vertex
-    farther out is clipped to that, with a CutoffWarning, since W there is
-    on a flank of the resonance rather than at its peak."""
-    w0, t0 = peak(omega)
+    The three parabola runs, omega first, go through ``mapper(peak,
+    omegas)``: the builtin ``map`` runs them one after another, and
+    convergence_check hands in ``_forked_map``. The vertex, when it is run,
+    runs here after them. The re-centred omega_C stays within 2 _TUNE_SPAN
+    of ``omega``; a vertex farther out is clipped to that, with a
+    CutoffWarning, since W there is on a flank of the resonance rather than
+    at its peak."""
     if not tune:
-        return w0, omega, t0
+        w, t = peak(omega)
+        return w, omega, t
     offsets = np.array([-_TUNE_SPAN, 0.0, _TUNE_SPAN])
-    runs = [peak(omega + o) if o else (w0, t0) for o in offsets]
+    centre, below, above = mapper(peak, [omega, omega + offsets[0],
+                                         omega + offsets[2]])
+    runs = [below, centre, above]
     values = np.array([w for w, _ in runs])
     coeffs = np.polyfit(offsets, values, 2)
     # a parabola opening upward has its best point among the three runs
@@ -538,7 +620,10 @@ def convergence_check(config, factor=2, tune=True):
     position.  The low cutoff runs dense, with the global t_max search.
     The high cutoff, for any g_B, runs matrix-free on the parity sector of
     psi(0) (about half the product dimension), with t_max searched within
-    4 % of t_low.
+    4 % of t_low.  The three parabola runs of a cutoff do not depend on
+    each other and run in forked child processes (``_forked_map``), at
+    max(1, cores // 3) BLAS threads each; the vertex run follows in this
+    process.  The children's warnings are issued again here in run order.
     """
     if not isinstance(factor, (int, np.integer)) or factor < 1:
         raise ConfigError(f"factor must be an integer >= 1, not {factor!r}")
@@ -548,7 +633,7 @@ def convergence_check(config, factor=2, tune=True):
     results = {}
     peak = functools.partial(_dense_peak, config)
     for tag, cfg in (("low", config), ("high", high)):
-        w, omega, t = _tune_peak(peak, cfg.omega_C, tune)
+        w, omega, t = _tune_peak(peak, cfg.omega_C, tune, _forked_map)
         results[f"W_{tag}"] = w
         results[f"omega_{tag}"] = omega
         results[f"t_{tag}"] = t

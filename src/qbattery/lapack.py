@@ -20,7 +20,9 @@ threads runs at most cores // W BLAS threads each; where they are missing
 it changes nothing. (``openblas_set_num_threads_local`` is no help: in
 numpy's bundled OpenBLAS 0.3.31 it calls the process-wide setter and
 stores into a plain global, so a per-worker set-and-restore would race.)
-``check_memory`` counts one solve per worker of the pool that is running.
+``check_memory`` counts one solve per worker of the pool that is running:
+a thread pool's worker threads, or the forked children of
+``experiments._forked_map``, join it through ``join_pool``.
 
 To Fortran a C-order buffer is the transposed matrix, so uplo = "L" reads
 the upper triangle of a symmetric buffer: on an exactly symmetric matrix
@@ -135,7 +137,8 @@ def pool_size():
 
 
 def join_pool(size):
-    """Mark the calling worker thread as one of a pool of ``size``."""
+    """Mark the calling worker thread, or forked child, as one of a pool of
+    ``size``."""
     _pool.size = size
 
 

@@ -48,6 +48,28 @@ def test_sector_defaults_to_charger_level_parity():
         QuenchSimulation(cfg)
 
 
+def test_replaced_charger_level_moves_a_defaulted_sector():
+    cfg = small_config()
+    even = dataclasses.replace(cfg, charger_level=2)
+    assert even.sector is ParitySector.EVEN
+    QuenchSimulation(even)
+    assert dataclasses.replace(even, charger_level=3).sector \
+        is ParitySector.ODD
+    # other replacements keep the sector, and the records do not change
+    assert dataclasses.replace(cfg, omega_C=1.1).sector is ParitySector.ODD
+    assert dataclasses.replace(cfg, sector=ParitySector.FULL,
+                               charger_level=2).sector is ParitySector.FULL
+    assert dataclasses.asdict(even) == dict(
+        dataclasses.asdict(cfg), charger_level=2, sector=ParitySector.EVEN)
+    assert even == small_config(charger_level=2)
+    # a sector given when the config is built stays, and the guard fires
+    pinned = dataclasses.replace(small_config(sector=ParitySector.ODD),
+                                 charger_level=2)
+    assert pinned.sector is ParitySector.ODD
+    with pytest.raises(ConfigError, match="weight 0.000000 inside the ODD"):
+        QuenchSimulation(pinned)
+
+
 def test_charger_quantum_counts_level():
     sim = QuenchSimulation(small_config(omega_C=2.9))
     assert sim.charger_quantum == pytest.approx(2.9)

@@ -1,8 +1,11 @@
 """Scans, resonance searching, CSV/manifest output, and convergence checks."""
 
 import dataclasses
+import functools
 import json
 import math
+import multiprocessing
+import os
 import threading
 import warnings
 
@@ -454,6 +457,124 @@ def test_benchmark_cutoff_input_raises_no_bracket_warning():
         warnings.simplefilter("error", HorizonWarning)
         res = convergence_check(cfg, factor=2, tune=True)
     assert res["modes_high"] == (26, 26)
+
+
+def test_forked_runs_send_back_warnings_and_errors():
+    """A forked run's warnings are issued again in the parent, in item
+    order, and its exception is raised with its type; no child outlives
+    the map either way."""
+    cfg = base_config(num_particles=2, omega_C=resonance_solve(3, 2, 0.1),
+                      target_n=3)
+    _, t_dense = experiments._dense_peak(cfg, cfg.omega_C)
+    omegas = [cfg.omega_C, cfg.omega_C - 1e-3, cfg.omega_C + 1e-3]
+    run = functools.partial(experiments._krylov_peak, cfg, 0.5 * t_dense)
+    with pytest.warns(HorizonWarning, match="edge of its search bracket") \
+            as record:
+        forked = experiments._forked_map(run, omegas)
+    assert multiprocessing.active_children() == []
+    assert len(record) == 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", HorizonWarning)
+        serial = [run(omega) for omega in omegas]
+    np.testing.assert_allclose(forked, serial, rtol=0, atol=1e-9)
+
+    def tagged(k):
+        warnings.warn(f"run {k}", CutoffWarning)
+        return k
+
+    with pytest.warns(CutoffWarning) as record:
+        assert experiments._forked_map(tagged, [0, 1, 2]) == [0, 1, 2]
+    assert [str(w.message) for w in record] == ["run 0", "run 1", "run 2"]
+
+    def breaks(k):
+        if k == 1:
+            raise NumericalBreakdownError("guard tripped in run 1")
+        return k
+
+    with pytest.raises(NumericalBreakdownError, match="run 1"):
+        experiments._forked_map(breaks, [0, 1, 2])
+    assert multiprocessing.active_children() == []
+    # a filter that turns the warning into an error applies in the child
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", CutoffWarning)
+        with pytest.raises(CutoffWarning, match="run 0"):
+            experiments._forked_map(tagged, [0, 1, 2])
+    assert multiprocessing.active_children() == []
+
+
+def test_forked_runs_form_one_pool_of_children():
+    def where(_):
+        return os.getpid(), lapack.pool_size()
+
+    seen = experiments._forked_map(where, [0, 1, 2])
+    pids = {pid for pid, _ in seen}
+    assert len(pids) == 3 and os.getpid() not in pids
+    assert [size for _, size in seen] == [3, 3, 3]
+    symbols = lapack._blas_threads()
+    if symbols is not None:
+        get, _ = symbols
+        counts = experiments._forked_map(lambda _: get(), [0, 1, 2])
+        assert counts == [max(1, min(get(), lapack.cores() // 3))] * 3
+    assert multiprocessing.active_children() == []
+
+
+def test_forked_map_runs_serially_in_a_pool_worker_or_without_fork(
+        monkeypatch):
+    def where(_):
+        return os.getpid(), lapack.pool_size()
+
+    nested = experiments._indexed_map(
+        lambda _: experiments._forked_map(where, [0, 1, 2]), [0, 1], 2)
+    assert [result for result, _ in nested] == [[(os.getpid(), 2)] * 3] * 2
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    assert experiments._forked_map(where, [0, 1, 2]) == [(os.getpid(), 1)] * 3
+
+
+@pytest.mark.parametrize("g_B", [0.0, -0.5])
+def test_convergence_check_forked_tuning_matches_serial(g_B, monkeypatch,
+                                                        tmp_path):
+    """The tuning runs of both cutoffs, three per cutoff, run in children
+    of a pool of three and give the serial numbers: the matrix-free W_high
+    reproduces to a few 1e-12, and t_max to the search's resolution."""
+    cfg = base_config(num_particles=2, omega_C=resonance_solve(3, 2, 0.1),
+                      target_n=3, g_B=g_B)
+    if g_B:
+        peak = fine_tune_resonance((3.0, 3.2), cfg)
+        cfg = dataclasses.replace(cfg, omega_C=peak.omega_C)
+    log = tmp_path / "runs.txt"
+
+    def logged(run):
+        def wrapper(*args):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {lapack.pool_size()}\n")
+            return run(*args)
+        return wrapper
+
+    monkeypatch.setattr(experiments, "_dense_peak",
+                        logged(experiments._dense_peak))
+    monkeypatch.setattr(experiments, "_krylov_peak",
+                        logged(experiments._krylov_peak))
+    forked = convergence_check(cfg, factor=2, tune=True)
+    runs = [tuple(map(int, line.split())) for line in
+            log.read_text().splitlines()]
+    children = [size for pid, size in runs if pid != os.getpid()]
+    assert len({pid for pid, _ in runs if pid != os.getpid()}) == 6
+    assert children == [3] * 6
+    assert all(size == 1 for pid, size in runs if pid == os.getpid())
+    assert multiprocessing.active_children() == []
+
+    monkeypatch.setattr(experiments, "_forked_map",
+                        lambda fn, items: [fn(item) for item in items])
+    serial = convergence_check(cfg, factor=2, tune=True)
+    for tag in ("low", "high"):
+        assert forked[f"modes_{tag}"] == serial[f"modes_{tag}"]
+        assert forked[f"W_{tag}"] == pytest.approx(serial[f"W_{tag}"],
+                                                   rel=0, abs=1e-11)
+        assert forked[f"omega_{tag}"] == pytest.approx(
+            serial[f"omega_{tag}"], rel=0, abs=1e-9)
+        assert forked[f"t_{tag}"] == pytest.approx(serial[f"t_{tag}"],
+                                                   rel=0, abs=1e-5)
 
 
 def test_tune_peak_warns_when_it_clips_the_vertex():
