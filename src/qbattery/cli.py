@@ -210,8 +210,8 @@ def cmd_simulate(args):
     times = None
     if horizon is not None:
         horizon = _convert(horizon, float, "simulate.horizon")
-        if horizon <= 0:
-            raise ConfigError("simulate.horizon must be positive")
+        if not 0 < horizon < np.inf:
+            raise ConfigError("simulate.horizon must be positive and finite")
         times = np.linspace(0.0, horizon, points)
     csv_path = outdir / f"{prefix}.csv"
     sim = QuenchSimulation(cfg)

@@ -1,23 +1,50 @@
-"""Quench dynamics by spectral decomposition.
+"""Quench dynamics on one of two backends, picked per build.
 
-The interacting Hamiltonian H1 is diagonalized once and states are
-reconstructed at arbitrary times from
+The spectral backend diagonalizes the interacting Hamiltonian H1 once and
+reconstructs states at arbitrary times from
 
     |psi(t)> = sum_k <E_k|psi(0)> exp(-i E_k t) |E_k>,
 
-so there is no time-step error to control.
+so there is no time-step error to control. The walk backend never forms
+H1: a krylov.ChebyshevWalk on the sector's matrix-free
+ProductSpaceOperator returns psi(t) at any batch of times, in chunks of
+one Chebyshev recursion each from a kept checkpoint (Tal-Ezer and
+Kosloff), and agrees with the spectral states to about 1e-12.
 
-Memory: a build holds one dense D x D matrix. H1 is assembled into a
-single buffer, and LAPACK's dsyevd overwrites that buffer with the
+Which backend. A build takes the walk when its predicted cost is below
+the eigensolve's, _EIGH_SECONDS D^3: about 2 b T row-matvecs at
+_row_seconds() each, with b the half-width of an enclosure of spec(H1)
+(H0's spectrum from the battery levels and charger modes, widened on
+the side of g_BC by a row-sum bound on ||Hint|| from its Gram blocks), T
+the horizon, _SPAN_FACTOR QSL estimates from psi(0)'s energy variance,
+and D the sector dimension. Nothing else picks a backend. The walk's
+budget is the eigensolve's cost in rows: a read that would take the walk
+past it (a maximum that needs repeated horizon doublings) switches the
+build to the eigensolve, so such a build costs at most about twice a
+spectral one. A FULL-sector config is always spectral. At one BLAS thread
+the crossover lies between D = 588 (N_B = 2, M = 13: 2 b T / budget =
+2.4) and D = 1100 (N_B = 3, M = 10: 0.34); the N_B = 3, M = 12 builds
+(D = 2184) predict 0.1-0.3 of the budget and take 0.6-0.8 s for an
+80-point series plus peak(), against 1.9 s spectral.
+
+Memory. A spectral build holds one dense D x D matrix. H1 is assembled
+into a single buffer, and LAPACK's dsyevd overwrites that buffer with the
 eigenvectors V (``lapack.eigh_in_place``); its workspace, about 2 D^2
-doubles, lives only during the solve. H0 and Hint are kept as CSR. Before
-the buffer is allocated, the bytes of buffer and workspace are checked
-against physical memory. At g_B != 0 the first work_series call adds V
-turned into the battery eigenbasis, a second D x D array.
+doubles, lives only during the solve. At g_B != 0 the first work_series
+call adds V turned into the battery eigenbasis, a second D x D array. A
+walk build holds the operator's node tables, up to krylov._CHECKPOINTS
++ 1 checkpoint states of 2 D doubles, two rings of krylov._RING_TERMS
+terms and the states of one read-out block: about 24 MB at D = 2184,
+against 114 MB for the spectral solve. H0 and Hint are CSR on
+both; the walk sums Hint's Gram blocks straight into the CSR pattern
+(``hamiltonian.quench_operators``). Before anything large is allocated,
+the bytes the chosen backend will hold are checked against physical
+memory.
 
-Read-out works on a block of times at once. H1 and psi(0) are real, so
-the eigenvectors V and the coefficients c0 = V^T psi(0) are real, and the
-block psi = re + i im of D sector states by T times costs two real GEMMs,
+Spectral read-out works on a block of times at once. H1 and psi(0) are
+real, so the eigenvectors V and the coefficients c0 = V^T psi(0) are
+real, and the block psi = re + i im of D sector states by T times costs
+two real GEMMs,
 
     re = V (cos(E t) c0),    im = -V (sin(E t) c0),
 
@@ -29,27 +56,30 @@ The stored work needs nothing else. W = (H_B - E_0) (x) 1_C is diagonal
 in the battery eigenbasis, so once per simulation the rows of V are turned
 into that basis (one GEMM per battery parity, about (D_B / 2) D^2; none at
 g_B = 0, where the Fock basis already is the eigenbasis), and
-W_B(t) = (eps - eps_0) . (re^2 + im^2) on the turned rows, O(D T).
+W_B(t) = (eps - eps_0) . (re^2 + im^2) on the turned rows, O(D T). On the
+walk W_B is ProductSpaceOperator.row_work of the walked rows.
 
-peak() prunes the t_max search (thermo.find_t_max) with a bound S on
-|dW_B/dt|, computed once per simulation (_work_slope). The search reads
-W_B on every 16th of its 1201 grid points, then on the points whose slope
-bound can still reach the near-peak threshold: about 250 points instead
-of 1670 per search on N_B = 2, M = 10 resonance builds. S is exact on the
-columns of V that carry all but 1e-12 of |c0|^2 and a Cauchy-Schwarz
-bound on the rest, about D h^2 flops for h such columns: 0.15-0.35 s at
-D = 2184 on one BLAS thread, against 0.6 s for the exact sum over all
-columns. It holds two D x _BLOCK_COLUMNS column copies at a time, no more
-than a read-out block.
+peak() on the spectral backend prunes the t_max search
+(thermo.find_t_max) with a bound S on |dW_B/dt|, computed once per
+simulation (_work_slope). The search reads W_B on every 16th of its 1201
+grid points, then on the points whose slope bound can still reach the
+near-peak threshold: about 250 points instead of 1670 per search on
+N_B = 2, M = 10 resonance builds. S is exact on the columns of V that
+carry all but 1e-12 of |c0|^2 and a Cauchy-Schwarz bound on the rest,
+about D h^2 flops for h such columns: 0.15-0.35 s at D = 2184 on one BLAS
+thread, against 0.6 s for the exact sum over all columns. It holds two
+D x _BLOCK_COLUMNS column copies at a time, no more than a read-out
+block. On the walk peak() reads the full grid (slope = inf), and
+qsl_estimate uses ||(H - E) psi(0)||^2 instead of the spectrum.
 
-The full read-out keeps the Fock-basis block. Expectations of H0 and Hint
-are CSR products against it, re.A.re + im.A.im, O(nnz T). The reduced
-battery state needs only its spectrum, and the nonzero part of that comes
-from the Gram matrix of the smaller side of the battery x charger amplitude
-matrix: min(D_B, D_C)^3 per time instead of D_B^3. Battery-eigenbasis
-populations p are one D_B^2 D_C product per time, and W_B = p . (eps -
-eps_0). Long time grids run in chunks of _BLOCK_COLUMNS, so no (D x T)
-block larger than that is held.
+The full read-out keeps the Fock-basis block, from either backend.
+Expectations of H0 and Hint are CSR products against it, re.A.re +
+im.A.im, O(nnz T). The reduced battery state needs only its spectrum, and
+the nonzero part of that comes from the Gram matrix of the smaller side of
+the battery x charger amplitude matrix: min(D_B, D_C)^3 per time instead
+of D_B^3. Battery-eigenbasis populations p are one D_B^2 D_C product per
+time, and W_B = p . (eps - eps_0). Long time grids run in chunks of
+_BLOCK_COLUMNS, so no (D x T) block larger than that is held.
 """
 
 from __future__ import annotations
@@ -64,7 +94,9 @@ import numpy as np
 from . import lapack, thermo
 from .basis import DEFAULT_BASIS_CAP, ParitySector, Species, SpeciesConfig
 from .errors import ConfigError, CutoffWarning, NumericalBreakdownError
-from .hamiltonian import cutoff_model, quench_hamiltonians
+from .hamiltonian import (cutoff_model, hint_probe, quench_hamiltonians,
+                          quench_operators)
+from .krylov import _ENERGY_RTOL, ChebyshevWalk, ProductSpaceOperator
 
 SERIES_COLUMNS = ("t", "W_B", "ergotropy", "S_B", "E_int", "W_irr", "E_total")
 
@@ -73,12 +105,17 @@ _TABLE_STRIDE = 16       # columns of the fine phase table
 _SPACING_ULPS = 4        # evenly spaced: t_j this many ulp from t_0 + j dt
 _IMAG_TOL = 1e-10        # imaginary residue of a real-operator expectation
 _NORM_TOL = 1e-10        # | |psi(t)| - 1 | per column
-_ENERGY_RTOL = 1e-8      # E_total drift, relative to max(1, |E_total(0)|)
 _SLOPE_TAIL = 1e-12      # share of |c0|^2 whose W_B slope terms are bounded
 _STATES_BYTES = 64       # states_at bytes per block entry, peak
 # Horizon in QSL estimates: the variance bound undershoots the peak time by
 # up to a factor of two at weak coupling.
 _SPAN_FACTOR = 3.0
+# The backend rule's cost model, in seconds at one OpenBLAS thread on the
+# reference machine (2-vCPU VM): a dense eigensolve costs _EIGH_SECONDS D^3,
+# and the walk 2 b T rows of a matvec at _ROW_SECONDS[0] + D
+# (_ROW_SECONDS[1] + _ROW_SECONDS[2] D_B [g_B != 0]) each.
+_EIGH_SECONDS = 1.6e-10
+_ROW_SECONDS = (1.5e-5, 2.0e-8, 6.0e-11)
 
 
 @dataclass
@@ -142,6 +179,15 @@ def _expect(op, re, im):
     if worst > _IMAG_TOL:
         raise AssertionError(f"expectation has imaginary residue {worst:.3e}")
     return np.einsum("it,it->t", re, op_re) + np.einsum("it,it->t", im, op_im)
+
+
+def _check_norm(norm):
+    """Raise when a squared state norm has drifted from 1 by more than
+    _NORM_TOL."""
+    drift = float(np.abs(norm - 1.0).max(initial=0.0))
+    if drift > _NORM_TOL:
+        raise NumericalBreakdownError(
+            f"state norm drifted by {drift:.3e} during propagation")
 
 
 def _chunks(n):
@@ -233,6 +279,9 @@ class SimulationConfig:
             self._sector_level = self.charger_level
         if self.num_particles < 1:
             raise ConfigError("need at least one battery particle")
+        for name in ("omega_B", "omega_C", "g_BC", "g_B"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if self.omega_B <= 0 or self.omega_C <= 0:
             raise ConfigError("trap frequencies must be positive")
         if self.modes_battery < 2 or self.modes_charger < 2:
@@ -266,28 +315,131 @@ class SimulationConfig:
 
 
 class QuenchSimulation:
-    """One assembled configuration: basis, Hamiltonians, spectral data.
+    """One assembled configuration: basis, Hamiltonians and a backend for
+    psi(t) blocks.
 
-    Bundles the repeated work (enumeration, assembly, diagonalization) so
-    observable evaluations at many times stay cheap. The basis and the
-    battery come from the config's cached cutoff model; ``h0`` and
-    ``hint`` are CSR.
+    The basis and the battery come from the config's cached cutoff model;
+    ``h0`` and ``hint`` are CSR. ``backend`` names the source of psi(t):
+    "spectral", with the eigenpairs of H1 in ``spectral``, or "walk", a
+    krylov.ChebyshevWalk on the sector's ProductSpaceOperator. The module
+    docstring gives the rule that picks one.
     """
 
     def __init__(self, config):
         self.config = config
-        model = config.cutoff_model()
-        self.basis = dataclasses.replace(model.basis,
+        self._model = config.cutoff_model()
+        self.basis = dataclasses.replace(self._model.basis,
                                          charger=config.charger_config())
-        self.battery_h = model.battery
-        lapack.check_memory(self.basis.size)
-        h1, self.h0, self.hint = quench_hamiltonians(
-            self.basis, model, config.g_BC)
-        self.spectral = SpectralDecomposition.from_matrix(h1)
+        self.battery_h = self._model.battery
         self.state0 = initial_state(self.basis, self.battery_h,
                                     charger_level=config.charger_level)
+        self.spectral = self._walk = self._variance = None
+        if self._walk_pays():
+            self._start_walk()
+        else:
+            self._solve()
+
+    @property
+    def backend(self):
+        return "spectral" if self._walk is None else "walk"
+
+    def _h0_range(self):
+        """(min, max) of H0's spectrum on the sector: battery levels eps_k
+        plus charger levels omega_C (c + 1/2) of the parity that completes
+        the sector."""
+        bat, sector = self.battery_h, self.config.sector
+        modes = np.arange(self.config.modes_charger)
+        sums = [bat.eigenvalues[bat.parities == p][:, None]
+                + self.config.omega_C * (modes[p * (-1) ** modes
+                                               == sector.value] + 0.5)
+                for p in (1, -1)]
+        return (min(x.min(initial=np.inf) for x in sums),
+                max(x.max(initial=-np.inf) for x in sums))
+
+    def _row_seconds(self):
+        """Predicted seconds of a one-row matvec of the sector operator."""
+        base, entry, battery = _ROW_SECONDS
+        if self.config.g_B != 0.0:
+            entry += battery * self.basis.battery_dim
+        return base + entry * self.basis.size
+
+    def _walk_pays(self):
+        """The backend rule: True when the walk's predicted cost, 2 b T
+        rows of a matvec, is below the eigensolve's, _EIGH_SECONDS D^3.
+
+        b is the half-width of the enclosure of spec(H1) the walk runs on,
+        H0's spectrum widened by hint_probe's bound on ||Hint|| (on one
+        side: Hint has the sign of g_BC). T is the horizon, _SPAN_FACTOR
+        QSL estimates from psi(0)'s energy variance ||(Hint - <Hint>)
+        psi(0)||^2 (psi(0) is an eigenstate of H0). A FULL-sector config
+        always takes the eigensolve: the operator acts on one parity
+        sector. Also sets the walk's bounds and its budget: the rows of a
+        matvec that cost what the eigensolve would.
+        """
+        cfg = self.config
+        if cfg.sector is ParitySector.FULL:
+            return False
+        image, norm = hint_probe(self.basis, self._model, cfg.g_BC,
+                                 self.state0)
+        lo, hi = self._h0_range()
+        self._bounds = (lo, hi + norm) if cfg.g_BC >= 0 else (lo - norm, hi)
+        residual = image - (self.state0 @ image) * self.state0
+        horizon = self._span(thermo.variance_to_qsl(residual @ residual))
+        eigh = _EIGH_SECONDS * float(self.basis.size) ** 3
+        self._budget = eigh / self._row_seconds()
+        return (self._bounds[1] - self._bounds[0]) * horizon < self._budget
+
+    def _solve(self):
+        """The spectral backend: H1 assembled dense and diagonalized in
+        place, after a check that the solve fits in memory."""
+        lapack.check_memory(self.basis.size)
+        h1, self.h0, self.hint = quench_hamiltonians(
+            self.basis, self._model, self.config.g_BC)
+        self.spectral = SpectralDecomposition.from_matrix(h1)
         # H1 and psi(0) are real, so V and c0 are too
         self._coeff0 = self.spectral.vectors.T @ self.state0
+        self._walk = None
+
+    def _start_walk(self):
+        """The walk backend: CSR pieces, the sector operator, and a walk
+        from psi(0) on the bounds of the rule, after a check that the
+        walk's arrays fit in memory."""
+        cfg, dim = self.config, self.basis.size
+        op = ProductSpaceOperator(
+            num_particles=cfg.num_particles, modes_battery=cfg.modes_battery,
+            modes_charger=cfg.modes_charger, g_BC=cfg.g_BC, g_B=cfg.g_B,
+            omega_B=cfg.omega_B, omega_C=cfg.omega_C, sector=cfg.sector)
+        # CSR data and indices, and sector copies of a read-out block
+        lapack.check_bytes(
+            ChebyshevWalk.bytes_needed(op, _BLOCK_COLUMNS)
+            + 12 * self._model.hint_layout.indices.size
+            + 16 * dim * _BLOCK_COLUMNS, f"Chebyshev walk at dimension {dim}",
+            "walk")
+        self.h0, self.hint = quench_operators(self.basis, self._model,
+                                              cfg.g_BC)
+        # operator entry j is sector entry order[j]
+        order = self.basis.index_matrix[op.pairs[:, 0], op.pairs[:, 1]]
+        self._to_sector = np.argsort(order)
+        self._walk = ChebyshevWalk(op, self.state0[order], self._bounds)
+        image = self.h0 @ self.state0 + self.hint @ self.state0
+        residual = image - (self.state0 @ image) * self.state0
+        self._variance = float(residual @ residual)
+
+    def _walk_affords(self, times):
+        """Whether the walk reads ``times`` within its budget. A read past
+        it switches the build to the eigensolve, when that fits in memory,
+        and returns False."""
+        walk = self._walk
+        if walk is None:
+            return False
+        if walk.row_matvecs + walk.cost(np.sort(times)) <= self._budget:
+            return True
+        try:
+            lapack.check_memory(self.basis.size)
+        except ConfigError:
+            return True
+        self._solve()
+        return False
 
     @functools.cached_property
     def _initial_energies(self):
@@ -382,12 +534,26 @@ class QuenchSimulation:
         phase_re, phase_im = _phases(self.spectral.energies, self._coeff0,
                                      times)
         re, im = vectors @ phase_re, vectors @ phase_im
-        norm = np.einsum("it,it->t", re, re) + np.einsum("it,it->t", im, im)
-        drift = float(np.abs(norm - 1.0).max(initial=0.0))
-        if drift > _NORM_TOL:
-            raise NumericalBreakdownError(
-                f"state norm drifted by {drift:.3e} during propagation")
+        _check_norm(np.einsum("it,it->t", re, re)
+                    + np.einsum("it,it->t", im, im))
         return re, im
+
+    def _walk_states(self, times):
+        """(T, 2, D): the real and imaginary rows of psi(t), in operator
+        order, from the walk, at ``times`` in any order."""
+        order = np.argsort(times, kind="stable")
+        states = np.empty((times.size, 2, self.basis.size))
+        states[order] = self._walk.states(times[order])
+        _check_norm(np.einsum("tri,tri->t", states, states))
+        return states
+
+    def _sector_block(self, times):
+        """psi(t) = re + i im in sector order, one column per time, from
+        either backend."""
+        if not self._walk_affords(times):
+            return self._block(self.spectral.vectors, times)
+        states = self._walk_states(times)[:, :, self._to_sector]
+        return states[:, 0].T, states[:, 1].T
 
     def states_at(self, times):
         """Batched reconstruction, one column per time, in one D x T block.
@@ -404,22 +570,31 @@ class QuenchSimulation:
                 f"states_at block of {self.basis.size} x {times.size} needs "
                 f"{need} bytes, more than the {have} bytes of physical "
                 "memory; ask for fewer times at once")
-        re, im = self._block(self.spectral.vectors, times)
+        re, im = self._sector_block(times)
         return re + 1j * im
 
     def work_series(self, times):
         """Stored work W_B on a time grid (vectorized): the diagonal of W
         against |psi|^2 on the battery-eigenbasis rows."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        rows, gaps = self._work_rows
         out = np.empty(times.size)
         for part in _chunks(times.size):
-            re, im = self._block(rows, times[part])
-            out[part] = gaps @ (re * re + im * im)
+            if self._walk_affords(times[part]):
+                states = self._walk_states(times[part])
+                out[part] = self._walk.op.row_work(
+                    states.reshape(-1, self.basis.size)).reshape(-1, 2).sum(1)
+            else:
+                rows, gaps = self._work_rows
+                re, im = self._block(rows, times[part])
+                out[part] = gaps @ (re * re + im * im)
         return out
 
     def qsl_estimate(self):
-        """Mandelstam-Tamm time from the initial-state energy variance."""
+        """Mandelstam-Tamm time from the initial-state energy variance: on
+        the walk ||(H - E) psi(0)||^2, on the spectral backend the spread
+        of the eigenvalues over |c0|^2."""
+        if self._variance is not None:
+            return thermo.variance_to_qsl(self._variance)
         w = np.abs(self._coeff0) ** 2
         mean = float(self.spectral.energies @ w)
         var = float((self.spectral.energies - mean) ** 2 @ w)
@@ -445,7 +620,7 @@ class QuenchSimulation:
         h0_initial, energy0 = self._initial_energies
         tol = _ENERGY_RTOL * max(1.0, abs(energy0))
         for part in _chunks(times.size):
-            re, im = self._block(self.spectral.vectors, times[part])
+            re, im = self._sector_block(times[part])
             h0_now = _expect(self.h0, re, im)
             e_int = _expect(self.hint, re, im)
             e_total = h0_now + e_int
@@ -478,11 +653,14 @@ class QuenchSimulation:
             entropy=out["S_B"], interaction_energy=out["E_int"],
             irreversible_work=out["W_irr"], total_energy=out["E_total"])
 
-    def _horizon(self):
+    def _span(self, qsl):
         """_SPAN_FACTOR QSL estimates; 10 / omega_B when H1 does not move
         psi(0) (zero energy variance, no transfer)."""
-        horizon = _SPAN_FACTOR * self.qsl_estimate()
+        horizon = _SPAN_FACTOR * qsl
         return horizon if np.isfinite(horizon) else 10.0 / self.config.omega_B
+
+    def _horizon(self):
+        return self._span(self.qsl_estimate())
 
     def default_times(self, points=600):
         """points samples over [0, _SPAN_FACTOR * QSL estimate]."""
@@ -491,8 +669,11 @@ class QuenchSimulation:
     def peak(self):
         """t_max, W_B(t_max) and power at the first stored-work maximum,
         without the read-out: a ChargingSummary whose other fields are
-        None. The t_max search skips the grid points that _work_slope
-        proves cannot change its pick."""
+        None. On the spectral backend the t_max search skips the grid
+        points that _work_slope proves cannot change its pick; the walk
+        reads the full grid."""
+        if self._walk is not None:
+            return thermo.find_t_max(self.work_series, self._horizon())
         # W_B's round-off budget: the norm guard's tolerance on its
         # largest diagonal term
         pad = _NORM_TOL * float(self._work_rows[1].max())

@@ -307,15 +307,75 @@ def assemble_Hint(basis, g_BC, omega_B=None, omega_C=None, layout=None):
         return np.zeros((dim, dim))
     if layout is None:
         layout = hint_layout(basis)
-    mb, mc = basis.battery.num_modes, basis.charger.num_modes
-    weights, phi, chi = contact_nodes(mb, mc, wb, wc)
-    nodes = (phi[:, None, :] * chi[None, :, :] * np.sqrt(weights)
-             ).reshape(mb * mc, -1)
-    parts = nodes[layout.rows] * layout.scale[:, None]
+    parts = _hint_parts(basis, layout, wb, wc)
     out = _gram(dim, ((kept, parts[rows], mask)
                       for rows, kept, mask in layout.blocks))
     out *= g_BC
     return out
+
+
+def _hint_parts(basis, layout, omega_B, omega_C):
+    """The rows of G, one per entry of ``layout.rows``, node-sampled."""
+    mb, mc = basis.battery.num_modes, basis.charger.num_modes
+    weights, phi, chi = contact_nodes(mb, mc, omega_B, omega_C)
+    nodes = (phi[:, None, :] * chi[None, :, :] * np.sqrt(weights)
+             ).reshape(mb * mc, -1)
+    return nodes[layout.rows] * layout.scale[:, None]
+
+
+def _hint_grams(basis, layout):
+    """(kept, gram, mask) per block of Hint / g_BC, the opposite-parity
+    entries ``mask`` zeroed, frequencies from the basis configs."""
+    wb, wc = _resolve_freqs(basis, None, None)
+    parts = _hint_parts(basis, layout, wb, wc)
+    for rows, kept, mask in layout.blocks:
+        gram = parts[rows] @ parts[rows].T
+        if mask is not None:
+            gram[mask] = 0.0
+        yield kept, gram, mask
+
+
+def hint_probe(basis, model, g_BC, psi):
+    """(Hint psi, a bound on ||Hint||) from the Gram blocks alone: nothing
+    of size D^2 and no CSR is built. The bound is the largest row sum of
+    |g_BC| times the blocks' absolute values, which is at least the largest
+    absolute row sum of Hint and so its 2-norm."""
+    image = np.zeros(basis.size)
+    row_sums = np.zeros(basis.size)
+    for kept, gram, _ in _hint_grams(basis, model.hint_layout):
+        image[kept] += gram @ psi[kept]
+        row_sums[kept] += np.abs(gram).sum(axis=1)
+    return g_BC * image, abs(g_BC) * float(row_sums.max(initial=0.0))
+
+
+def quench_operators(basis, model, g_BC):
+    """(h0, hint) as CSR for one quench, like ``quench_hamiltonians`` but
+    with no dense matrix: the Gram blocks are summed straight into Hint's
+    CSR data on the cached pattern, block by block in the same order, so
+    the entries are those the dense buffer would hold. Both are checked
+    for symmetry."""
+    wb, wc = _resolve_freqs(basis, None, None)
+    h0 = _sector_h0(basis, model.battery_csr, wc)
+    layout = model.hint_layout
+    dim = basis.size
+    # the flat buffer position of each pattern entry, ascending
+    flat = (np.repeat(np.arange(dim, dtype=np.int64), np.diff(layout.indptr))
+            * dim + layout.indices)
+    data = np.zeros(flat.size)
+    for kept, gram, mask in _hint_grams(basis, layout):
+        # the pattern holds every position of a block but the masked ones
+        inside = slice(None) if mask is None else ~mask.ravel()
+        positions = _block_positions(kept, dim)[inside]
+        data[np.searchsorted(flat, positions)] += gram.ravel()[inside]
+    data *= g_BC
+    hint = sp.csr_matrix((data, layout.indices.copy(), layout.indptr.copy()),
+                         shape=(dim, dim))
+    hint.eliminate_zeros()
+    for name, mat in (("H0", h0), ("Hint", hint)):
+        skew = abs(mat - mat.T).max() if mat.nnz else 0.0
+        if skew > 1e-12:
+            raise AssertionError(f"{name} assembly lost Hermiticity: {skew}")
+    return h0, hint
 
 
 @dataclass

@@ -37,9 +37,12 @@ Kosloff, J. Chem. Phys. 81, 3967 (1984)), which needs no basis storage or
 reorthogonalization.  Its recurrence runs on one real row when the state
 is real and on its real and imaginary rows otherwise, and it raises
 ``NumericalBreakdownError`` when the norm drifts by more than
-``NORM_DRIFT_TOL``.  ``work_walk`` is the one checkpointed time walk over
+``NORM_DRIFT_TOL``.  ``work_walk`` is a checkpointed time walk over
 it: ``propagate_work_series`` and ``experiments.convergence_check`` both
-read W_B(t) through it.
+read W_B(t) through it.  ``ChebyshevWalk``, the walk backend of
+``dynamics.QuenchSimulation``, runs the same recursion for many times at
+once: psi(t) at any sorted batch of times, in chunks planned by predicted
+cost, each starting from a kept checkpoint.
 
 H_B, with its g_B term, is the dense pipeline's matrix from
 ``hamiltonian.assemble_battery_only``; its off-diagonal part adds one
@@ -48,6 +51,7 @@ broadcast GEMM per parity block to the cost above (none at g_B = 0).
 
 from __future__ import annotations
 
+import bisect
 import copy
 import threading
 from dataclasses import dataclass, field
@@ -57,7 +61,6 @@ import numpy as np
 from scipy.special import jv
 
 from .basis import ParitySector
-from .dynamics import _ENERGY_RTOL
 from .errors import ConfigError, NumericalBreakdownError
 from .hamiltonian import _raising_table, assemble_battery_only
 from .integrals import contact_nodes
@@ -66,6 +69,7 @@ __all__ = [
     "ProductSpaceOperator",
     "spectral_bounds",
     "chebyshev_evolve",
+    "ChebyshevWalk",
     "work_walk",
     "propagate_work_series",
 ]
@@ -84,6 +88,27 @@ _RITZ_PAD = 0.03
 
 # Bessel coefficients below this magnitude end the Chebyshev series.
 _BESSEL_TOL = 1e-13
+
+# Largest drift of <psi|H|psi> from its start value along a walk, relative
+# to max(1, |E0|).
+_ENERGY_RTOL = 1e-8
+
+# ChebyshevWalk: mixing one Chebyshev term into the state at one time
+# costs about this share of a one-row matvec (a GEMM of 4 D flops per term,
+# time and row, against about 800 D flops per row for the matvec at
+# D = 2,184); at most _CHECKPOINTS states are kept to start legs from, at
+# most _TABLES coefficient tables are kept, and at most _PLAN_TIMES times
+# are planned together. Terms are mixed in rings of _RING_TERMS, so that
+# each GEMM's inner dimension is k _RING_TERMS.
+_MIX_COST = 0.005
+_RING_TERMS = 64
+_CHECKPOINTS = 256
+_TABLES = 8
+_PLAN_TIMES = 256
+# offsets within this many ulp of a kept table's count as the same
+_SPACING_ULPS = 4
+# Bessel arguments at or below this count as zero: J_1 is then below 1e-26
+_BESSEL_ZERO = 1e-26
 
 
 @dataclass
@@ -316,6 +341,29 @@ class ProductSpaceOperator:
                 work += np.vdot(part, blk.battery @ part).real
         return float(work)
 
+    def row_work(self, rows: np.ndarray) -> np.ndarray:
+        """<r|(H_B - E_0) (x) 1|r> for every row r of a real (k, dim)
+        block: W_B of psi = re + i im is the sum over its two rows.  The
+        off-diagonal part of H_B is one GEMM per parity block over all
+        rows."""
+        work = (rows * rows) @ self._gaps
+        for blk in self._blocks:
+            if blk.battery is not None:
+                size = blk.battery.shape[0]
+                part = rows[:, blk.entries].reshape(len(rows), size, -1)
+                part = part.transpose(1, 0, 2).reshape(size, -1)
+                work += np.einsum("bri,bri->r",
+                                  part.reshape(size, len(rows), -1),
+                                  (blk.battery @ part).reshape(
+                                      size, len(rows), -1))
+        return work
+
+    def workspace_bytes(self, k: int) -> int:
+        """Bytes of the work arrays a k-row matvec keeps (``_workspace``)."""
+        nb, nq = self.battery_dim, self.num_nodes
+        return 8 * k * (nq * (2 * nb + self._source.size + self.lowered_dim
+                              + self._target.size) + self.dim)
+
 
 def spectral_bounds(op: ProductSpaceOperator):
     """Estimated (lo, hi) enclosing spec(H), from extremal Ritz values of a
@@ -422,6 +470,330 @@ def chebyshev_evolve(op: ProductSpaceOperator, psi: np.ndarray, t: float,
             "Chebyshev propagation lost unitarity; spectral bounds too tight")
     return out[0] + 1j * out[1]
 
+
+def _bessel_table(z):
+    """J_m(z_j) for m = 0 .. m_top, one row per order and one column per
+    argument: Miller's downward recurrence J_m = (2 (m + 1) / z) J_(m+1)
+    - J_(m+2) from a tiny value at m = |z| + 40 + 12 |z|^(1/3), normalized
+    by J_0 + 2 sum_k J_2k = 1, with J_m(-z) = (-1)^m J_m(z). Columns that
+    grow past 1e200 are scaled down as the recurrence runs. At most a few
+    1e-14 from scipy's jv up to |z| = 1,700, at a small share of its
+    cost."""
+    z = np.asarray(z, dtype=float)
+    size = np.abs(z)
+    moving = size > _BESSEL_ZERO
+    top = np.where(moving, np.ceil(size + 40.0 + 12.0 * np.cbrt(size)),
+                   0).astype(int)
+    out = np.zeros((int(top.max(initial=0)) + 1, z.size))
+    inverse = 2.0 / np.where(moving, size, 1.0)
+    after, current = np.zeros(z.size), np.zeros(z.size)
+    for m in range(out.shape[0] - 1, -1, -1):
+        new = (m + 1) * inverse * current - after
+        new[top == m] = 1e-300
+        big = np.abs(new) > 1e200
+        if big.any():
+            out[m + 1:, big] *= 1e-200
+            new[big] *= 1e-200
+            current[big] *= 1e-200
+        out[m] = new
+        after, current = current, new
+    out[:, moving] /= (out[0] + 2.0 * out[2::2].sum(axis=0))[moving]
+    out[0, ~moving] = 1.0
+    out[1::2] *= np.where(z < 0.0, -1.0, 1.0)
+    return out
+
+
+def _order_estimate(z):
+    """Chebyshev terms exp(-i z x) needs on [-1, 1] before every Bessel
+    coefficient falls below _BESSEL_TOL: |z| + 2 + 9 |z|^(1/3), fitted to
+    the cut for 10 <= |z| <= 1,000."""
+    size = np.abs(z)
+    return size + 2.0 + 9.0 * np.cbrt(size)
+
+
+@dataclass
+class _Table:
+    """Chebyshev coefficients of exp(-iHs) at the offsets s_j,
+    coeff[j, m] = (2 - delta_m0) (-i)^m J_m(b s_j) exp(-i a s_j); the
+    state at s_j needs the terms up to orders[j], after which every |J_m|
+    has fallen below _BESSEL_TOL."""
+
+    offsets: np.ndarray
+    coeff: np.ndarray
+    orders: np.ndarray
+
+    @classmethod
+    def build(cls, offsets, center, half_width):
+        bessel = _bessel_table(half_width * offsets)
+        above = np.abs(bessel) > _BESSEL_TOL
+        orders = bessel.shape[0] - 1 - np.argmax(above[::-1], axis=0)
+        coeff = (np.array([1, -1j, -1, 1j])[np.arange(orders.max() + 1) % 4,
+                                            None]
+                 * bessel[:orders.max() + 1])
+        coeff[1:] *= 2.0
+        coeff *= np.exp(-1j * center * offsets)
+        return cls(offsets=offsets.copy(), coeff=coeff.T.copy(),
+                   orders=orders)
+
+    def head(self, n):
+        """The table of the first n offsets."""
+        if n == self.offsets.size:
+            return self
+        order = int(self.orders[:n].max())
+        return _Table(self.offsets[:n], self.coeff[:n, :order + 1],
+                      self.orders[:n])
+
+    @property
+    def order(self) -> int:
+        return int(self.orders.max())
+
+    def mix(self, k):
+        """(2 n, (order + 1) k): row 2 j + p maps the stacked terms
+        T_m(H~) of k real rows (term-major) onto the real (p = 0) or
+        imaginary (p = 1) row of the state at offset j. k = 1 is a real
+        start state; k = 2 are the real and imaginary rows of a complex
+        one."""
+        re, im = self.coeff.real, self.coeff.imag
+        if k == 1:
+            mix = np.stack([re, im], 1)[..., None]
+        else:
+            mix = np.stack([np.stack([re, -im], -1),
+                            np.stack([im, re], -1)], 1)
+        return mix.reshape(2 * len(self.offsets), -1)
+
+
+class ChebyshevWalk:
+    """psi(t) = exp(-iHt) psi(0) at any sorted batch of times, walked in
+    chunks from checkpoints.
+
+    A chunk is one Chebyshev recursion (Tal-Ezer and Kosloff) from the
+    state at a start time t_c: the terms T_m(H~) psi(t_c), with
+    H~ = (H - a) / b on the enclosing ``bounds`` (a the centre, b the
+    half-width), are mixed into the states at all the chunk's times, one
+    GEMM per ring of _RING_TERMS terms, each time taking only the terms up
+    to its own order, about b |t - t_c| + 9 (b |t - t_c|)^(1/3). The
+    recursion runs on the one real row of psi(0) and on the real and
+    imaginary rows of a later state. So a chunk from t_c costs k rows
+    times its largest order in matvecs, plus _MIX_COST of that per term
+    and time mixed in; long chunks pay less per unit of time in the
+    series' tail, short ones less in mixing. ``_plan`` splits a batch
+    into the chunks of least predicted cost, each starting from the time
+    before it, from the nearest checkpoint or from psi(0): an 80-point
+    series is one 1-row recursion from psi(0); a 1201-point grid over
+    b T = 1,680 takes a 1-row chunk over its first 256 times and then
+    chunks of about 85 times and 120 / b (N_B = 3, M = 12).
+
+    The coefficients of a chunk's offsets t - t_c form one table; the
+    last _TABLES are kept and a chunk whose offsets agree to
+    _SPACING_ULPS ulp with the head of a kept one uses that head: the
+    chunks of an evenly spaced grid share the table of its step size. The
+    last state of each chunk becomes a checkpoint (up to _CHECKPOINTS of
+    them; the latest is always kept): a grid that extends an earlier one
+    continues its walk, and a single time next to a walked grid is a
+    short leg, forward or back.
+
+    Guards: each recursion checks <psi(t_c)|H|psi(t_c)> of its start
+    state, from its first term at no extra cost, and each batch checks its
+    last state with one matvec; a drift from E0 = <psi(0)|H|psi(0)> by more
+    than _ENERGY_RTOL * max(1, |E0|) raises NumericalBreakdownError.  The
+    caller checks the norm of every state.
+
+    ``row_matvecs`` counts the rows H has been applied to; ``cost(times)``
+    predicts what ``states(times)`` would add to it.
+    """
+
+    def __init__(self, op: ProductSpaceOperator, psi0: np.ndarray, bounds):
+        lo, hi = bounds
+        if not hi > lo:
+            raise ConfigError("spectral bounds must satisfy lo < hi")
+        self.op = op
+        self.center, self.half_width = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        self._scaled = op._shifted(2.0 / self.half_width, self.center)
+        start = np.array(psi0, dtype=float).reshape(1, op.dim)
+        self.row_matvecs = 0
+        self.energy0 = self._energy(start)
+        self._energy_tol = _ENERGY_RTOL * max(1.0, abs(self.energy0))
+        self._times = [0.0]
+        self._states = [start]
+        self._latest = (0.0, start)
+        self._tables = []
+        self._rings = {}
+        self._planned = (None, None)
+
+    @staticmethod
+    def bytes_needed(op: ProductSpaceOperator, times_per_call: int) -> int:
+        """Bytes a walk holds at most besides its operator's tables: the
+        checkpoints, the term rings and matvec work arrays for one and two
+        rows, the planner's five cost arrays of 3 x _PLAN_TIMES^2 and the
+        states of ``times_per_call`` times."""
+        rows = 2 * (_CHECKPOINTS + 1) + 3 * _RING_TERMS + 2 * times_per_call
+        return (8 * rows * op.dim + 120 * _PLAN_TIMES ** 2
+                + op.workspace_bytes(1) + op.workspace_bytes(2))
+
+    def _energy(self, rows):
+        """<psi|H|psi> of the state with real rows ``rows``, one matvec."""
+        self.row_matvecs += len(rows)
+        return float(np.vdot(rows, self.op.matvec(rows)))
+
+    def _check_energy(self, energy):
+        drift = abs(energy - self.energy0)
+        # "not <=" so that a nan energy fails too
+        if not drift <= self._energy_tol:
+            raise NumericalBreakdownError(
+                f"total energy drifted by {drift:.3e} along the Chebyshev "
+                "walk")
+
+    def _nearest(self, t):
+        """(time, rows) of the kept state nearest to t."""
+        i = bisect.bisect_left(self._times, t)
+        near = [(c, s) for c, s in zip(self._times[max(i - 1, 0):i + 1],
+                                      self._states[max(i - 1, 0):i + 1])]
+        return min(near + [self._latest], key=lambda c: abs(c[0] - t))
+
+    def _plan(self, times, before):
+        """([(t_c, lo, hi)], rows): the chunks times[lo:hi] of least
+        predicted cost, each walked from the state at t_c, and the rows
+        of matvecs they are predicted to take.
+
+        A chunk starting at lo may start from times[lo - 1] (``before``
+        for lo = 0, when it is not nan), from the kept
+        state nearest to times[lo], or from psi(0); it costs k rows (1 from
+        psi(0), else 2) times its largest order estimate plus _MIX_COST
+        times the sum of its times' order estimates. The split is a
+        dynamic program over the chunk ends."""
+        n = times.size
+        first = np.arange(n)
+        starts = np.stack([np.concatenate([[before], times[:-1]]),
+                           [self._nearest(t)[0] for t in times],
+                           np.zeros(n)])
+        # cost[o, lo, j]: chunk times[lo:j + 1] from start option o
+        order = np.triu(_order_estimate(
+            self.half_width * (times[None, None, :] - starts[:, :, None])))
+        largest = np.maximum(order[:, first, first][:, :, None], order)
+        cost = (np.where(starts == 0.0, 1.0, 2.0)[:, :, None]
+                * (largest + _MIX_COST * np.cumsum(order, axis=2)))
+        cost[:, first[:, None] > first[None, :]] = np.inf
+        cost[np.isnan(cost)] = np.inf
+        option = np.argmin(cost, axis=0)
+        cost = np.min(cost, axis=0)
+        best, cut = np.zeros(n + 1), np.zeros(n + 1, dtype=int)
+        for hi in range(1, n + 1):
+            total = best[:hi] + cost[:hi, hi - 1]
+            cut[hi] = int(np.argmin(total))
+            best[hi] = total[cut[hi]]
+        chunks, rows, hi = [], 0.0, n
+        while hi:
+            lo = cut[hi]
+            start = float(starts[option[lo, hi - 1], lo])
+            chunks.append((start, lo, hi))
+            rows += (1 if start == 0.0 else 2) * _order_estimate(
+                self.half_width * np.abs(times[lo:hi] - start).max())
+            hi = lo
+        return chunks[::-1], int(rows)
+
+    def _table(self, offsets):
+        """The coefficient table of ``offsets``: the head of a kept one
+        that agrees to _SPACING_ULPS ulp, or a new one (kept when it
+        serves more than one time)."""
+        n = offsets.size
+        tol = _SPACING_ULPS * np.spacing(np.abs(offsets).max())
+        for table in self._tables:
+            if (table.offsets.size >= n
+                    and np.abs(table.offsets[:n] - offsets).max() <= tol):
+                return table.head(n)
+        table = _Table.build(offsets, self.center, self.half_width)
+        if n > 1:
+            self._tables = [table] + self._tables[:_TABLES - 1]
+        return table
+
+    def cost(self, times) -> int:
+        """Rows H is predicted to be applied to by ``states(times)``."""
+        return sum(self._planned_chunks(np.asarray(times, dtype=float))[1])
+
+    def _planned_chunks(self, times):
+        """(chunks, rows) per block of _PLAN_TIMES times; the plan of the
+        last times asked for is kept for the ``states`` call after
+        ``cost``."""
+        key = times.tobytes()
+        if self._planned[0] != key:
+            blocks = [self._plan(times[k:k + _PLAN_TIMES],
+                                 times[k - 1] if k else np.nan)
+                      for k in range(0, times.size, _PLAN_TIMES)]
+            self._planned = (key, blocks)
+        blocks = self._planned[1]
+        return [b[0] for b in blocks], [b[1] for b in blocks]
+
+    def _ring(self, k):
+        if k not in self._rings:
+            self._rings[k] = np.empty((_RING_TERMS, k, self.op.dim))
+        return self._rings[k]
+
+    def _leg(self, start, table, out):
+        """States at the table's offsets from ``start`` (k real rows) into
+        ``out``, (n, 2, dim). Each ring of terms is mixed only into the
+        states whose order reaches it."""
+        k = start.shape[0]
+        flat = out.reshape(-1, self.op.dim)
+        mix = table.mix(k)
+        if table.order == 0:
+            flat[:] = mix @ start
+            return
+        ring = self._ring(k)
+        ring[0] = start
+        flat[:] = 0.0
+        for first in range(0, table.order + 1, _RING_TERMS):
+            stop = min(first + _RING_TERMS, table.order + 1)
+            for m in range(max(first, 1), stop):
+                nxt = ring[m % _RING_TERMS]
+                self._scaled.matvec(ring[(m - 1) % _RING_TERMS], out=nxt)
+                if m == 1:
+                    nxt *= 0.5
+                    # T_1 = (H - a) start / b gives <H> of the start state
+                    self._check_energy(
+                        self.half_width * float(np.vdot(start, nxt))
+                        + self.center * float(np.vdot(start, start)))
+                else:
+                    nxt -= ring[(m - 2) % _RING_TERMS]
+            terms = ring[:stop - first].reshape(-1, self.op.dim)
+            reached = np.flatnonzero(table.orders >= first)
+            if reached[-1] - reached[0] + 1 == reached.size:
+                rows = slice(2 * reached[0], 2 * reached[-1] + 2)
+            else:
+                rows = np.repeat(2 * reached, 2) + np.tile([0, 1],
+                                                           reached.size)
+            flat[rows] += mix[rows, first * k:stop * k] @ terms
+        self.row_matvecs += k * table.order
+
+    def _keep(self, t, rows):
+        self._latest = (t, rows.copy())
+        i = bisect.bisect_left(self._times, t)
+        if len(self._times) < _CHECKPOINTS and (
+                i == len(self._times) or self._times[i] != t):
+            self._times.insert(i, t)
+            self._states.insert(i, self._latest[1])
+
+    def states(self, times) -> np.ndarray:
+        """(n, 2, dim): the real and imaginary rows of psi(t), in operator
+        order, at the sorted ``times``."""
+        times = np.asarray(times, dtype=float)
+        out = np.empty((times.size, 2, self.op.dim))
+        for k, chunks in enumerate(self._planned_chunks(times)[0]):
+            base = k * _PLAN_TIMES
+            for t_c, lo, hi in chunks:
+                lo, hi = lo + base, hi + base
+                if t_c == 0.0:
+                    start = self._states[0]
+                elif lo and t_c == times[lo - 1]:
+                    start = out[lo - 1]
+                else:
+                    start = self._nearest(t_c)[1]
+                self._leg(start, self._table(times[lo:hi] - t_c),
+                          out[lo:hi])
+                self._keep(float(times[hi - 1]), out[hi - 1])
+        self._planned = (None, None)
+        if times.size:
+            self._check_energy(self._energy(out[-1]))
+        return out
 
 def work_walk(op: ProductSpaceOperator, charger_level: int):
     """W_B(t) at the times asked for, in any order, along one walk.

@@ -146,13 +146,20 @@ def check_memory(n):
     """Raise ConfigError when the n x n solves that the running pool can
     hold at once, one per worker, need more bytes than the machine's
     physical memory."""
+    check_bytes(solve_bytes(n), f"dense eigensolve at dimension {n}", "solve")
+
+
+def check_bytes(each, what, noun):
+    """Raise ConfigError when ``each`` bytes of ``what`` (a ``noun``), one
+    per worker of the running pool, exceed the machine's physical
+    memory."""
     workers = pool_size()
-    need, have = workers * solve_bytes(n), _physical_memory()
+    need, have = workers * each, _physical_memory()
     if need > have:
         raise ConfigError(
-            f"dense eigensolve at dimension {n} needs {need} bytes "
-            f"({need / 2**30:.1f} GiB) for {workers} concurrent "
-            f"solve(s), more than the {have} bytes of physical memory")
+            f"{what} needs {need} bytes ({need / 2**30:.1f} GiB) for "
+            f"{workers} concurrent {noun}(s), more than the {have} bytes "
+            "of physical memory")
 
 
 def cores():

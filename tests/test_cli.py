@@ -134,6 +134,14 @@ def test_invalid_value_is_config_error(tmp_path):
     assert run_cli("--config", ini, "simulate") == 2
 
 
+@pytest.mark.parametrize("horizon", ["nan", "inf", "-inf", "0"])
+def test_non_finite_horizon_is_config_error(tmp_path, horizon):
+    ini = write_ini(tmp_path, BASE_INI.format(
+        omega=1.0, extra=f"[simulate]\nhorizon = {horizon}\npoints = 3\n"))
+    assert run_cli("--config", ini, "--out", str(tmp_path / "o"),
+                   "simulate") == cli.EXIT_CONFIG
+
+
 def test_mode_override_flags(tmp_path):
     ini = write_ini(tmp_path, BASE_INI.format(
         omega=1.0, extra="[simulate]\nhorizon = 5\npoints = 3\n"))

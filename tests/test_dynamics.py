@@ -1,6 +1,7 @@
 """Quench dynamics: unitarity, conservation laws, and weak-coupling limits."""
 
 import dataclasses
+import math
 import tracemalloc
 import warnings
 
@@ -198,6 +199,12 @@ def test_config_validation_and_cutoff_warning():
     with pytest.raises(ConfigError):
         SimulationConfig(num_particles=1, omega_C=1.0, g_BC=0.1,
                          modes_battery=1)
+    for name in ("omega_B", "omega_C", "g_BC", "g_B"):
+        for value in (math.nan, math.inf, -math.inf):
+            fields = dict(num_particles=1, omega_C=1.0, g_BC=0.1)
+            fields[name] = value
+            with pytest.raises(ConfigError, match=f"{name} must be finite"):
+                SimulationConfig(**fields)
     with pytest.warns(CutoffWarning):
         SimulationConfig(num_particles=1, omega_C=9.0, g_BC=0.1,
                          modes_battery=12, modes_charger=12, target_n=9)
@@ -516,3 +523,90 @@ def test_summarize_prunes_the_grid_to_the_same_pick():
     assert (summary.t_max, summary.stored_work) == \
         (full.t_max, full.stored_work)
     assert pruned < sum(points) / 3
+
+
+def built_on(cfg, backend, monkeypatch):
+    """QuenchSimulation(cfg) on the named backend: the rule's eigensolve
+    cost is set to zero (spectral) or to a second per D^3 (walk, with a
+    budget no read reaches)."""
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "_EIGH_SECONDS",
+                      1.0 if backend == "walk" else 0.0)
+        sim = QuenchSimulation(cfg)
+    assert sim.backend == backend
+    return sim
+
+
+BACKEND_CONFIGS = [
+    pytest.param(dict(num_particles=2, g_B=g_B, omega_C=1.0,
+                      modes_battery=12, modes_charger=12), id=f"N2-gB{g_B}")
+    for g_B in (0.0, -0.5, 3.0)
+] + [
+    pytest.param(dict(num_particles=3, omega_C=1.0, modes_battery=10,
+                      modes_charger=10), id="N3-M10"),
+    # the QSL horizon undershoots this resonant peak: one doubling
+    pytest.param(dict(num_particles=2, omega_C=resonance_solve(5, 2, 0.1),
+                      modes_battery=12, modes_charger=12, target_n=5),
+                 id="N2-n5-doubling"),
+]
+
+
+@pytest.mark.parametrize("fields", BACKEND_CONFIGS)
+def test_walk_and_spectral_backends_agree(fields, monkeypatch):
+    cfg = small_config(**fields)
+    walk = built_on(cfg, "walk", monkeypatch)
+    spectral = built_on(cfg, "spectral", monkeypatch)
+    assert walk.qsl_estimate() == pytest.approx(spectral.qsl_estimate(),
+                                                rel=1e-10)
+    times = np.linspace(0.0, spectral._horizon(), 97)
+    np.testing.assert_allclose(walk.work_series(times),
+                               spectral.work_series(times), rtol=0,
+                               atol=1e-10)
+    got, want = walk.series(times), spectral.series(times)
+    for name in ("stored_work", "ergotropy", "entropy", "interaction_energy",
+                 "irreversible_work", "total_energy"):
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name),
+                                   rtol=0, atol=1e-9, err_msg=name)
+    peak_walk, peak_spectral = walk.peak(), spectral.peak()
+    if fields.get("target_n") == 5:
+        assert peak_spectral.t_max > spectral._horizon()
+    assert abs(peak_walk.t_max - peak_spectral.t_max) <= 1e-5
+    assert abs(peak_walk.stored_work - peak_spectral.stored_work) <= 1e-9
+    np.testing.assert_allclose(walk.states_at(times[::16]),
+                               spectral.states_at(times[::16]), rtol=0,
+                               atol=1e-10)
+    assert walk.backend == "walk"
+
+
+def test_walk_past_its_budget_switches_to_the_eigensolve(monkeypatch):
+    cfg = small_config(num_particles=3, omega_C=1.0, modes_battery=10,
+                       modes_charger=10)
+    sim = built_on(cfg, "walk", monkeypatch)
+    times = np.linspace(0.0, 20.0, 41)
+    first = sim.work_series(times)
+    sim._budget = sim._walk.row_matvecs
+    np.testing.assert_allclose(sim.work_series(times), first, rtol=0,
+                               atol=1e-10)
+    assert sim.backend == "spectral"
+
+
+@pytest.mark.parametrize("fields, backend", [
+    # the resonance workload's two windows (D = 275)
+    (dict(num_particles=2, omega_C=5.0, g_B=3.0, modes_battery=10,
+          modes_charger=10, target_n=5), "spectral"),
+    (dict(num_particles=2, omega_C=1.0, g_B=-0.5, modes_battery=10,
+          modes_charger=10, target_n=1), "spectral"),
+    # the cutoff workload's dense low cutoff (D = 588)
+    (dict(num_particles=2, omega_C=resonance_solve(3, 2, 0.1),
+          modes_battery=13, modes_charger=13, target_n=3), "spectral"),
+    # the series workload's two configurations (D = 2184)
+    (dict(num_particles=3, omega_C=resonance_solve(5, 3, 0.1),
+          modes_battery=12, modes_charger=12, target_n=5), "walk"),
+    (dict(num_particles=3, omega_C=1.0, g_B=-0.5, modes_battery=12,
+          modes_charger=12), "walk"),
+    # the operator acts on one parity sector only
+    (dict(num_particles=3, omega_C=1.0, modes_battery=10, modes_charger=10,
+          sector=ParitySector.FULL), "spectral"),
+])
+def test_backend_rule_picks(fields, backend):
+    assert QuenchSimulation(small_config(**fields)).backend == backend

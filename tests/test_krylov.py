@@ -11,9 +11,10 @@ from qbattery.dynamics import QuenchSimulation, SimulationConfig
 from qbattery.errors import ConfigError, NumericalBreakdownError
 from qbattery import krylov
 from qbattery.hamiltonian import build_hamiltonian_set
-from qbattery.krylov import (ProductSpaceOperator, chebyshev_evolve,
-                             propagate_work_series, spectral_bounds,
-                             work_walk)
+from qbattery.krylov import (ChebyshevWalk, ProductSpaceOperator,
+                             chebyshev_evolve, propagate_work_series,
+                             spectral_bounds, work_walk)
+from scipy.special import jv
 
 
 def make_operator(num_particles=2, mb=6, mc=6, g=0.1, wc=1.0,
@@ -284,3 +285,36 @@ def test_work_series_rejects_empty_grid():
     op = make_operator(mb=4, mc=4)
     with pytest.raises(ConfigError):
         propagate_work_series(op, [])
+
+
+def test_bessel_table_matches_scipy():
+    z = np.concatenate([[0.0, 1e-30, 1e-8, 0.3, -2.5, -40.0],
+                        np.linspace(1.0, 1700.0, 40)])
+    table = krylov._bessel_table(z)
+    want = jv(np.arange(table.shape[0])[:, None], z[None, :])
+    np.testing.assert_allclose(table, want, rtol=0, atol=1e-13)
+
+
+def test_chebyshev_walk_matches_the_exact_propagator():
+    op = ProductSpaceOperator(num_particles=2, modes_battery=6,
+                              modes_charger=6, g_BC=0.3, g_B=-0.5,
+                              omega_C=1.1)
+    energies, vectors = np.linalg.eigh(op.dense())
+    psi0 = op.initial_state(1)
+    coeff = vectors.T @ psi0
+    walk = ChebyshevWalk(op, psi0, spectral_bounds(op))
+    # a sparse grid, a dense one, an extension, single times forward and
+    # back from a checkpoint, and a batch that revisits early times
+    for times in (np.linspace(0.0, 30.0, 81), np.linspace(0.0, 6.0, 256),
+                  np.linspace(30.0, 60.0, 151), [12.345], [12.3], [59.99],
+                  np.linspace(0.0, 60.0, 7)):
+        times = np.asarray(times, dtype=float)
+        predicted, before = walk.cost(times), walk.row_matvecs
+        states = walk.states(times)
+        exact = vectors @ (np.exp(-1j * np.outer(energies, times))
+                           * coeff[:, None])
+        np.testing.assert_allclose(states[:, 0] + 1j * states[:, 1],
+                                   exact.T, rtol=0, atol=1e-11)
+        # the plan's estimate and the tables' cut differ by a few terms
+        assert abs(walk.row_matvecs - before - predicted) \
+            <= 20 + 0.05 * predicted
