@@ -95,11 +95,6 @@ def fock_parity(occupations):
     return -1 if sum(j * n for j, n in enumerate(occupations)) % 2 else 1
 
 
-def fock_energy(occupations, omega):
-    """Non-interacting energy sum_j (j + 1/2) n_j omega."""
-    return omega * sum((j + 0.5) * n for j, n in enumerate(occupations))
-
-
 @dataclass(frozen=True)
 class SpeciesConfig:
     """Mode-space description of one species."""
@@ -150,10 +145,6 @@ class CompositeBasis:
     @property
     def charger_dim(self):
         return len(self.charger_states)
-
-    def pair_index(self, battery_state, charger_mode):
-        """Sector index of a (battery state, charger mode) pair, or -1."""
-        return int(self.index_matrix[battery_state, charger_mode])
 
 
 def build_composite_basis(battery, charger, sector=ParitySector.ODD,

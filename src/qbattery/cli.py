@@ -485,8 +485,8 @@ def cmd_reproduce(args):
     if args.modes_battery is not None or args.modes_charger is not None:
         raise ConfigError("figure presets pin their own mode cutoffs; "
                           "--modes-battery/--modes-charger do not apply")
+    workers = _workers({}, args)
     outdir = resolve_output_dir(args)
-    workers = args.threads if args.threads else 1
     written = preset(outdir, workers)
     manifest = outdir / f"{args.figure}.manifest.json"
     payload = {"schema": "qbattery-run-v1", "command": "reproduce",
@@ -509,7 +509,7 @@ def build_parser():
     parser.add_argument("--out", help="output directory (default: "
                         f"${OUTPUT_ENV} or ./qbattery-output)")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads for scans")
+                        help="worker processes for scans")
     parser.add_argument("--modes-battery", type=int, default=None,
                         help="battery mode cutoff override")
     parser.add_argument("--modes-charger", type=int, default=None,

@@ -3,10 +3,12 @@ fine-tuning of transfer resonances, and cutoff-convergence checks.
 
 Every scan point runs the full pipeline independently, so one failed point
 never aborts a sweep; failures land in the row's error column.  Scans with
-workers > 1 and the resonance search (one worker per core) run their points
-on a thread pool, each worker on cores // workers BLAS threads at most
-(``lapack.blas_thread_budget``); convergence_check runs its omega_C
-tuning runs in forked child processes instead.  Output is deterministic:
+workers > 1 run their points in that many forked child processes, and
+convergence_check its omega_C tuning runs in three (``_forked_map``); the
+resonance search, whose builds are short, runs on a thread pool of one
+worker per core (``_indexed_map``).  Either way each worker runs on at
+most cores // workers BLAS threads (``lapack.blas_thread_budget``).
+Output is deterministic:
 CSV cells use shortest-roundtrip float formatting and the manifest carries
 no timestamps, so the same config at the same BLAS setting produces
 bit-identical files.
@@ -109,6 +111,14 @@ class ResonancePeak:
                 f"transfer ratio {self.ratio:.6f} outside [0, {RATIO_CAP}]")
 
 
+def _isolated(fn, item):
+    """(fn(item), "") or (None, the exception's type and message)."""
+    try:
+        return fn(item), ""
+    except Exception as exc:  # per-point isolation is the contract
+        return None, f"{type(exc).__name__}: {exc}"
+
+
 def _indexed_map(fn, items, workers):
     """Map fn over items, isolating per-item failures.
 
@@ -119,20 +129,19 @@ def _indexed_map(fn, items, workers):
     called from inside a pool worker runs serially in that worker, so a
     pool never starts another, and the worker keeps its pool's size for
     ``lapack.check_memory``.
-    """
 
-    def run(i):
-        try:
-            return fn(items[i]), ""
-        except Exception as exc:  # per-point isolation is the contract
-            return None, f"{type(exc).__name__}: {exc}"
+    Only the resonance search uses threads. Its builds are small spectral
+    ones (D = 275 on the benchmark's input), whose dsyevd releases the GIL,
+    and a forked child's cold start, about 40-50 ms, costs more than such
+    a build; the sweeps fork (``_forked_map``).
+    """
 
     def pooled(i):
         lapack.join_pool(workers)
-        return run(i)
+        return _isolated(fn, items[i])
 
     if workers <= 1 or len(items) <= 1 or lapack.pool_size() > 1:
-        return [run(i) for i in range(len(items))]
+        return [_isolated(fn, item) for item in items]
     with lapack.blas_thread_budget(workers):
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(pooled, range(len(items))))
@@ -155,66 +164,99 @@ def _map_or_raise(fn, items, workers):
     return [value for value, _ in results]
 
 
-def _forked_run(fn, item, workers, send):
-    """One child of _forked_map: fn(item) as one of a pool of ``workers``,
-    sending back (result, recorded warnings, raised exception)."""
+def _forked_worker(fn, items, workers, pipe):
+    """One child of _forked_map: as one of a pool of ``workers``, fn(items[i])
+    for each index i received, sending back (i, result, recorded warnings,
+    raised exception), until the pipe sends None or closes."""
     lapack.join_pool(workers)
-    value, error = None, None
-    with warnings.catch_warnings(record=True) as caught, \
-            lapack.blas_thread_budget(workers):
-        try:
-            value = fn(item)
-        except Exception as exc:  # raised again in the parent
-            error = exc
-    send.send((value, [(w.message, w.category, w.filename, w.lineno)
-                       for w in caught], error))
+    with lapack.blas_thread_budget(workers):
+        while True:
+            try:
+                index = pipe.recv()
+            except EOFError:
+                return
+            if index is None:
+                return
+            value, error = None, None
+            # entered per item, so a warning is not muted by an earlier
+            # item's registry entry
+            with warnings.catch_warnings(record=True) as caught:
+                try:
+                    value = fn(items[index])
+                except Exception as exc:  # raised again in the parent
+                    error = exc
+            pipe.send((index, value,
+                       [(w.message, w.category, w.filename, w.lineno)
+                        for w in caught], error))
 
 
-def _forked_map(fn, items):
-    """[fn(item) for item in items], each item in a child process forked
-    for it, all children at once.
+def _forked_map(fn, items, workers):
+    """[fn(item) for item in items] on at most ``workers`` forked child
+    processes.
 
     A forked child inherits this process's module caches and needs no
-    pickled function; only its result travels back. Each child joins a
-    pool of len(items) (``lapack.join_pool``), so ``check_memory`` counts
-    every concurrent dense solve, and runs under ``lapack.blas_thread_budget``
-    for that pool: max(1, cores // len(items)) BLAS threads. A child records
-    the warnings its inherited filters let through; here they are issued
-    again in item order, at their original file and line, and the first
-    item's exception is raised again with its type. Every child is joined
-    before this returns or raises. Called from a pool worker
-    (``lapack.pool_size() > 1``), or where ``fork`` is unavailable, it runs
-    the items here, one after another.
+    pickled function; only its results travel back. One child per worker,
+    min(workers, len(items)) of them, each serves item indices over its
+    pipe: the next index in item order goes to whichever child is free.
+    Each child joins a pool of ``workers`` (``lapack.join_pool``), so
+    ``check_memory`` counts every concurrent dense solve, and runs under
+    ``lapack.blas_thread_budget(workers)``: max(1, cores // workers) BLAS
+    threads. Children share no GIL, so the many small numpy calls of a
+    Chebyshev walk overlap, which on worker threads they do not. A child
+    records the warnings its inherited filters let through; here they are
+    issued again in item order, at their original file and line, and the
+    first item's exception is raised again with its type. A child that
+    exits without a result raises RuntimeError with its exit code. Every
+    child is joined before this returns or raises. With workers <= 1 or
+    one item, called from a pool worker (``lapack.pool_size() > 1``), or
+    where ``fork`` is unavailable, it runs the items here, one after
+    another.
     """
     # imported here, not at the top: nothing else in the package needs it
     import multiprocessing
+    from multiprocessing.connection import wait
 
-    if (lapack.pool_size() > 1
+    if (workers <= 1 or len(items) <= 1 or lapack.pool_size() > 1
             or "fork" not in multiprocessing.get_all_start_methods()):
         return [fn(item) for item in items]
     context = multiprocessing.get_context("fork")
-    children, outcomes = [], []
+    children, serving = {}, {}   # keyed by the parent's end of a pipe
+    outcomes, handed = [None] * len(items), 0
     try:
-        for item in items:
-            receive, send = context.Pipe(duplex=False)
-            with send:
-                child = context.Process(target=_forked_run,
-                                        args=(fn, item, len(items), send))
-                children.append((child, receive))
-                child.start()
-        for child, receive in children:
-            try:
-                outcomes.append(receive.recv())
-            except EOFError:
-                child.join()
-                raise RuntimeError(
-                    f"forked run {len(outcomes)} exited with code "
-                    f"{child.exitcode} before sending a result") from None
+        for _ in range(min(workers, len(items))):
+            pipe, child_end = context.Pipe()
+            with child_end:
+                children[pipe] = context.Process(
+                    target=_forked_worker,
+                    args=(fn, items, workers, child_end))
+                children[pipe].start()
+        for pipe in children:
+            serving[pipe] = handed
+            pipe.send(handed)
+            handed += 1
+        while serving:
+            for pipe in wait(list(serving)):
+                try:
+                    index, *outcome = pipe.recv()
+                except EOFError:
+                    children[pipe].join()
+                    raise RuntimeError(
+                        f"forked run {serving[pipe]} exited with code "
+                        f"{children[pipe].exitcode} before sending a "
+                        "result") from None
+                outcomes[index] = outcome
+                if handed < len(items):
+                    serving[pipe] = handed
+                    pipe.send(handed)
+                    handed += 1
+                else:
+                    del serving[pipe]
+                    pipe.send(None)
     finally:
-        for child, receive in children:
-            receive.close()
+        for pipe, child in children.items():
+            pipe.close()
             if child.pid is not None:
-                if len(outcomes) < len(children):
+                if serving:
                     child.terminate()
                 child.join()
     # this module's registry: under the "default" action a warning that
@@ -272,11 +314,20 @@ def _sweep(scan, fieldnames, point, fill):
     """Rows of ``point(value)`` over the scan grid, in grid order, each
     with an error column, written with a manifest when scan.output is set.
     A failed point's row holds NaN except for the fields ``fill(value)``
-    gives, and its error column names the exception."""
+    gives, and its error column names the exception. With scan.workers > 1
+    the points run in forked children (``_forked_map``), which inherit the
+    base config's cutoff model when every point shares it. It is built at
+    the BLAS thread count of the points, so its battery eigenvectors are
+    the ones a point would compute."""
+    if scan.parameter != "g_B":
+        try:
+            with lapack.blas_thread_budget(scan.workers):
+                scan.base.cutoff_model()
+        except Exception:  # each point raises it again in its own row
+            pass
     rows = []
-    for value, (result, err) in zip(scan.values,
-                                    _indexed_map(point, list(scan.values),
-                                                 scan.workers)):
+    for value, (result, err) in zip(scan.values, _forked_map(
+            functools.partial(_isolated, point), scan.values, scan.workers)):
         if result is None:
             result = {k: float("nan") for k in fieldnames[:-1]}
             result.update(fill(value))
@@ -545,11 +596,11 @@ def _tune_peak(peak, omega, tune, mapper=map):
 
     The three parabola runs, omega first, go through ``mapper(peak,
     omegas)``: the builtin ``map`` runs them one after another, and
-    convergence_check hands in ``_forked_map``. The vertex, when it is run,
-    runs here after them. The re-centred omega_C stays within 2 _TUNE_SPAN
-    of ``omega``; a vertex farther out is clipped to that, with a
-    CutoffWarning, since W there is on a flank of the resonance rather than
-    at its peak."""
+    convergence_check hands in a ``_forked_map`` with one child per run.
+    The vertex, when it is run, runs here after them. The re-centred
+    omega_C stays within 2 _TUNE_SPAN of ``omega``; a vertex farther out
+    is clipped to that, with a CutoffWarning, since W there is on a flank
+    of the resonance rather than at its peak."""
     if not tune:
         w, t = peak(omega)
         return w, omega, t
@@ -621,8 +672,8 @@ def convergence_check(config, factor=2, tune=True):
     The high cutoff, for any g_B, runs matrix-free on the parity sector of
     psi(0) (about half the product dimension), with t_max searched within
     4 % of t_low.  The three parabola runs of a cutoff do not depend on
-    each other and run in forked child processes (``_forked_map``), at
-    max(1, cores // 3) BLAS threads each; the vertex run follows in this
+    each other and run in three forked child processes (``_forked_map``),
+    at max(1, cores // 3) BLAS threads each; the vertex run follows in this
     process.  The children's warnings are issued again here in run order.
     """
     if not isinstance(factor, (int, np.integer)) or factor < 1:
@@ -633,7 +684,8 @@ def convergence_check(config, factor=2, tune=True):
     results = {}
     peak = functools.partial(_dense_peak, config)
     for tag, cfg in (("low", config), ("high", high)):
-        w, omega, t = _tune_peak(peak, cfg.omega_C, tune, _forked_map)
+        w, omega, t = _tune_peak(peak, cfg.omega_C, tune, lambda fn, items:
+                                 _forked_map(fn, items, len(items)))
         results[f"W_{tag}"] = w
         results[f"omega_{tag}"] = omega
         results[f"t_{tag}"] = t

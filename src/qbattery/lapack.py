@@ -15,14 +15,16 @@ is missing, scipy's ``cython_lapack`` capsule supplies the pointer. Either
 is resolved on first use, not at import.
 
 The same scope exports OpenBLAS's process-wide thread-count getter and
-setter. ``blas_thread_budget`` uses them so that a pool of W worker
-threads runs at most cores // W BLAS threads each; where they are missing
-it changes nothing. (``openblas_set_num_threads_local`` is no help: in
-numpy's bundled OpenBLAS 0.3.31 it calls the process-wide setter and
-stores into a plain global, so a per-worker set-and-restore would race.)
+setter. ``blas_thread_budget`` uses them so that each worker of a pool of
+W, thread or forked child, runs at most cores // W BLAS threads; where
+they are missing it changes nothing. (``openblas_set_num_threads_local``
+is no help: in numpy's bundled OpenBLAS 0.3.31 it calls the process-wide
+setter and stores into a plain global, so a per-worker set-and-restore
+would race.)
 ``check_memory`` counts one solve per worker of the pool that is running:
-a thread pool's worker threads, or the forked children of
-``experiments._forked_map``, join it through ``join_pool``.
+the forked children of ``experiments._forked_map`` (a scan's points, the
+tuning runs of ``convergence_check``), or the worker threads of the
+resonance search, join it through ``join_pool``.
 
 To Fortran a C-order buffer is the transposed matrix, so uplo = "L" reads
 the upper triangle of a symmetric buffer: on an exactly symmetric matrix
@@ -137,8 +139,11 @@ def pool_size():
 
 
 def join_pool(size):
-    """Mark the calling worker thread, or forked child, as one of a pool of
-    ``size``."""
+    """Mark the calling thread as one worker of a pool of ``size``: a
+    forked child's main thread (a scan point or a tuning run) or a worker
+    thread of the resonance search. ``pool_size`` then reads ``size`` in
+    that thread, so ``check_memory`` counts the pool's concurrent solves
+    and a map called there runs serially."""
     _pool.size = size
 
 
@@ -182,13 +187,16 @@ def _blas_threads():
 
 @contextlib.contextmanager
 def blas_thread_budget(workers):
-    """Run the body, a pool of ``workers`` threads, with the BLAS thread
-    count at max(1, min(current, cores() // workers)), restored after.
+    """Run the body, a pool of ``workers`` threads or one forked child of a
+    pool of ``workers``, with the BLAS thread count at
+    max(1, min(current, cores() // workers)), restored after.
 
-    Call it from the thread that starts the pool, before the pool starts:
-    the count is process-wide. It never rises above the current count, so
-    OPENBLAS_NUM_THREADS stays the ceiling. A no-op where numpy's OpenBLAS
-    does not export the thread-count symbols."""
+    The count is process-wide. A pool of worker threads sets it once, from
+    the thread that starts the pool, before the pool starts; a forked child
+    sets it in its own process, around the items it serves. It never rises
+    above the current count, so OPENBLAS_NUM_THREADS stays the ceiling. A
+    no-op where numpy's OpenBLAS does not export the thread-count
+    symbols."""
     symbols = _blas_threads()
     if symbols is None:
         yield

@@ -61,8 +61,8 @@ def projected_two_level(n, num_particles, g_BC, omega_C, modes=MODES):
     occ1[n] += 1
     bi0 = basis.battery_states.index(occ0)
     bi1 = basis.battery_states.index(tuple(occ1))
-    k0 = basis.pair_index(bi0, 1)
-    k1 = basis.pair_index(bi1, 0)
+    k0 = basis.index_matrix[bi0, 1]
+    k1 = basis.index_matrix[bi1, 0]
     h1 = build_hamiltonian_set(basis, 0.0, g_BC, omega_C=omega_C).h1
     idx = np.array([k0, k1])
     return h1[np.ix_(idx, idx)]

@@ -112,7 +112,6 @@ def test_index_matrix_round_trip():
     basis = build_composite_basis(battery, charger, ParitySector.ODD)
     for k, (bi, c) in enumerate(basis.kept_pairs):
         assert basis.index_matrix[bi, c] == k
-        assert basis.pair_index(bi, c) == k
     # pairs outside the sector are absent
     assert (basis.index_matrix >= 0).sum() == basis.size
 

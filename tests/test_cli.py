@@ -249,6 +249,21 @@ def test_reproduce_rejects_mode_overrides(tmp_path):
                    "reproduce", "fig2a") == 2
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_reproduce_rejects_a_worker_count_below_one(tmp_path, monkeypatch,
+                                                    threads):
+    ran = []
+    monkeypatch.setitem(cli.PRESETS, "fig3a",
+                        lambda outdir, workers: ran.append(workers) or [])
+    out = tmp_path / "fig"
+    assert run_cli("--out", str(out), "--threads", threads, "reproduce",
+                   "fig3a") == cli.EXIT_CONFIG
+    assert ran == [] and not out.exists()
+    assert run_cli("--out", str(out), "--threads", "2", "reproduce",
+                   "fig3a") == cli.EXIT_OK
+    assert ran == [2]
+
+
 def test_reproduce_fig2a(tmp_path):
     out = tmp_path / "fig"
     assert run_cli("--out", str(out), "reproduce", "fig2a") == 0

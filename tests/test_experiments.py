@@ -470,7 +470,7 @@ def test_forked_runs_send_back_warnings_and_errors():
     run = functools.partial(experiments._krylov_peak, cfg, 0.5 * t_dense)
     with pytest.warns(HorizonWarning, match="edge of its search bracket") \
             as record:
-        forked = experiments._forked_map(run, omegas)
+        forked = experiments._forked_map(run, omegas, 3)
     assert multiprocessing.active_children() == []
     assert len(record) == 3
     with warnings.catch_warnings():
@@ -483,7 +483,7 @@ def test_forked_runs_send_back_warnings_and_errors():
         return k
 
     with pytest.warns(CutoffWarning) as record:
-        assert experiments._forked_map(tagged, [0, 1, 2]) == [0, 1, 2]
+        assert experiments._forked_map(tagged, [0, 1, 2], 3) == [0, 1, 2]
     assert [str(w.message) for w in record] == ["run 0", "run 1", "run 2"]
 
     def breaks(k):
@@ -492,13 +492,13 @@ def test_forked_runs_send_back_warnings_and_errors():
         return k
 
     with pytest.raises(NumericalBreakdownError, match="run 1"):
-        experiments._forked_map(breaks, [0, 1, 2])
+        experiments._forked_map(breaks, [0, 1, 2], 3)
     assert multiprocessing.active_children() == []
     # a filter that turns the warning into an error applies in the child
     with warnings.catch_warnings():
         warnings.simplefilter("error", CutoffWarning)
         with pytest.raises(CutoffWarning, match="run 0"):
-            experiments._forked_map(tagged, [0, 1, 2])
+            experiments._forked_map(tagged, [0, 1, 2], 3)
     assert multiprocessing.active_children() == []
 
 
@@ -506,14 +506,14 @@ def test_forked_runs_form_one_pool_of_children():
     def where(_):
         return os.getpid(), lapack.pool_size()
 
-    seen = experiments._forked_map(where, [0, 1, 2])
+    seen = experiments._forked_map(where, [0, 1, 2], 3)
     pids = {pid for pid, _ in seen}
     assert len(pids) == 3 and os.getpid() not in pids
     assert [size for _, size in seen] == [3, 3, 3]
     symbols = lapack._blas_threads()
     if symbols is not None:
         get, _ = symbols
-        counts = experiments._forked_map(lambda _: get(), [0, 1, 2])
+        counts = experiments._forked_map(lambda _: get(), [0, 1, 2], 3)
         assert counts == [max(1, min(get(), lapack.cores() // 3))] * 3
     assert multiprocessing.active_children() == []
 
@@ -524,11 +524,12 @@ def test_forked_map_runs_serially_in_a_pool_worker_or_without_fork(
         return os.getpid(), lapack.pool_size()
 
     nested = experiments._indexed_map(
-        lambda _: experiments._forked_map(where, [0, 1, 2]), [0, 1], 2)
+        lambda _: experiments._forked_map(where, [0, 1, 2], 3), [0, 1], 2)
     assert [result for result, _ in nested] == [[(os.getpid(), 2)] * 3] * 2
     monkeypatch.setattr(multiprocessing, "get_all_start_methods",
                         lambda: ["spawn"])
-    assert experiments._forked_map(where, [0, 1, 2]) == [(os.getpid(), 1)] * 3
+    assert experiments._forked_map(where, [0, 1, 2], 3) == [
+        (os.getpid(), 1)] * 3
 
 
 @pytest.mark.parametrize("g_B", [0.0, -0.5])
@@ -565,7 +566,8 @@ def test_convergence_check_forked_tuning_matches_serial(g_B, monkeypatch,
     assert multiprocessing.active_children() == []
 
     monkeypatch.setattr(experiments, "_forked_map",
-                        lambda fn, items: [fn(item) for item in items])
+                        lambda fn, items, workers: [fn(item)
+                                                    for item in items])
     serial = convergence_check(cfg, factor=2, tune=True)
     for tag in ("low", "high"):
         assert forked[f"modes_{tag}"] == serial[f"modes_{tag}"]
@@ -631,6 +633,102 @@ def test_scan_csv_independent_of_worker_count(tmp_path, one_blas_thread):
         rows = one.splitlines()[2:]
         # the error column is last and empty on every row
         assert len(rows) == 3 and all(row.endswith(b",") for row in rows)
+
+
+def test_walk_scan_csv_independent_of_worker_count(tmp_path,
+                                                  one_blas_thread):
+    """N_B = 3 points take the Chebyshev walk, and give the same CSV bytes
+    in forked children as in one process."""
+    cfg = base_config(num_particles=3, omega_C=resonance_solve(3, 3, 0.1),
+                      modes_battery=10, modes_charger=10, target_n=3)
+    assert QuenchSimulation(cfg).backend == "walk"
+    for workers in (1, 2):
+        power_scan(ScanConfig("g_BC", (0.08, 0.1), cfg, workers=workers,
+                              output=str(tmp_path / f"power{workers}.csv")))
+    one = (tmp_path / "power1.csv").read_bytes()
+    assert one == (tmp_path / "power2.csv").read_bytes()
+    rows = one.splitlines()[2:]
+    assert len(rows) == 2 and all(row.endswith(b",") for row in rows)
+
+
+def small_power_scan(values, workers=2):
+    return ScanConfig("g_BC", values, base_config(modes_battery=6,
+                                                  modes_charger=6),
+                      workers=workers)
+
+
+def test_forked_scan_points_send_back_warnings_and_errors(monkeypatch):
+    """A point's warning, raised in a child, is issued here in grid order;
+    a point that raises leaves its error in its own row only."""
+    resolve = experiments._resolve_resonance
+
+    def noisy(cfg):
+        warnings.warn(f"g_BC {cfg.g_BC} in {os.getpid()}", CutoffWarning)
+        if cfg.g_BC == 0.08:
+            raise NumericalBreakdownError("guard tripped at g_BC 0.08")
+        return resolve(cfg)
+
+    monkeypatch.setattr(experiments, "_resolve_resonance", noisy)
+    with pytest.warns(CutoffWarning) as record:
+        rows = power_scan(small_power_scan((0.05, 0.08, 0.1)))
+    assert multiprocessing.active_children() == []
+    messages = [str(w.message).split(" in ") for w in record]
+    assert [text for text, _ in messages] == [
+        "g_BC 0.05", "g_BC 0.08", "g_BC 0.1"]
+    assert os.getpid() not in {int(pid) for _, pid in messages}
+    assert [row["value"] for row in rows] == [0.05, 0.08, 0.1]
+    assert [row["error"] for row in rows] == [
+        "", "NumericalBreakdownError: guard tripped at g_BC 0.08", ""]
+    assert math.isnan(rows[1]["power_ED"])
+    assert all(row["power_ED"] > 0 for row in (rows[0], rows[2]))
+
+
+def test_scan_point_whose_child_exits_raises(monkeypatch):
+    resolve = experiments._resolve_resonance
+
+    def exits(cfg):
+        if cfg.g_BC == 0.08:
+            os._exit(7)
+        return resolve(cfg)
+
+    monkeypatch.setattr(experiments, "_resolve_resonance", exits)
+    with pytest.raises(RuntimeError, match="exited with code 7"):
+        power_scan(small_power_scan((0.05, 0.08, 0.1)))
+    assert multiprocessing.active_children() == []
+
+
+def test_scan_in_a_pool_worker_runs_in_its_process(monkeypatch):
+    resolve, seen = experiments._resolve_resonance, []
+
+    def where(cfg):
+        seen.append((os.getpid(), lapack.pool_size()))
+        return resolve(cfg)
+
+    monkeypatch.setattr(experiments, "_resolve_resonance", where)
+    outer = experiments._indexed_map(
+        lambda _: power_scan(small_power_scan((0.05, 0.1), workers=3)),
+        [0, 1], 2)
+    assert all(err == "" for _, err in outer)
+    assert all(row["error"] == "" for rows, _ in outer for row in rows)
+    # the points ran here, where the list they append to lives
+    assert seen == [(os.getpid(), 2)] * 4
+
+
+def test_resonance_search_forks_nothing(monkeypatch):
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(lapack, "cores", lambda: 2)
+    # the probe sees the forks of a scan
+    power_scan(small_power_scan((0.05, 0.1)))
+    assert len(forks) == 2
+    forks.clear()
+    peaks = find_resonance_peaks((0.8, 1.2), base_config(num_particles=2))
+    assert len(peaks) == 1 and forks == []
 
 
 def test_emit_plot_script_compiles(tmp_path):

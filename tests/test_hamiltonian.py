@@ -9,13 +9,18 @@ import scipy.sparse as sp
 
 from qbattery import hamiltonian
 from qbattery.basis import (ParitySector, Species, SpeciesConfig,
-                            build_composite_basis, fock_energy, fock_parity)
+                            build_composite_basis, fock_parity)
 from qbattery.dynamics import SimulationConfig
 from qbattery.errors import ConfigError
 from qbattery.hamiltonian import (assemble_battery_only, assemble_H0,
                                   assemble_Hint, build_hamiltonian_set,
                                   composite_parity_vector)
 from qbattery.integrals import contact_nodes, two_body_contact
+
+
+def fock_energy(occupations, omega):
+    """Non-interacting energy sum_j (j + 1/2) n_j omega of a Fock state."""
+    return omega * sum((j + 0.5) * n for j, n in enumerate(occupations))
 
 
 def make_basis(num_particles=2, modes=6, omega_C=1.0,
@@ -96,7 +101,7 @@ def coupling_reference(basis, g, omega_B, omega_C):
             for i in range(modes_b):
                 amp_i, occ_i = apply_create(amp_k, occ_k, i)
                 for j in range(basis.charger.num_modes):
-                    row = basis.pair_index(index[occ_i], j)
+                    row = basis.index_matrix[index[occ_i], j]
                     if row >= 0:
                         u = two_body_contact(i, j, k, l, omega_B, omega_C)
                         h[row, col] += g * u * amp_i
